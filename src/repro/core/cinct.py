@@ -225,12 +225,6 @@ class CiNCT:
         return self._sa_samples is not None
 
     # ------------------------------------------------------------------ #
-    # PseudoRank (Algorithm 2) — inlined for query speed
-    # ------------------------------------------------------------------ #
-    def _pseudo_rank(self, j: int, target: int, context: int, label: int) -> int:
-        return self._wavelet_tree.rank(label, j) - self._corrections.get(context, target)
-
-    # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
     def suffix_range(
@@ -315,45 +309,36 @@ class CiNCT:
     ) -> list[tuple[int, int] | None]:
         """Algorithm 3 over a prebuilt pattern trie (one range per node).
 
-        At every trie depth the pending nodes are grouped by their
-        ``(context, w)`` bigram with one ``np.unique`` pass — every group
-        shares one RML label and one PseudoRank base, so label resolution and
-        correction lookups happen once per distinct bigram — and the whole
-        labelled frontier then descends the wavelet tree together through one
-        :meth:`~repro.wavelet.tree.WaveletTree.rank_pairs` call, which shares
-        the upper tree levels across labels (one bit-vector rank per distinct
-        tree node, not one walk per label).  Bigrams without an RML label (and
-        symbols outside this index's alphabet) make their node dead, pruning
-        the whole subtree.
+        At every trie depth the pending nodes' ``(context, w)`` bigrams are
+        resolved to RML edge slots in one vectorized lookup, which yields
+        each node's label and PseudoRank base (``C[w] - Z``) by gathers, and
+        the whole labelled frontier then descends the wavelet tree together
+        through one :meth:`~repro.wavelet.tree.WaveletTree.rank_pairs` call.
+        Bigrams without an RML label (and symbols outside this index's
+        alphabet) make their node dead, pruning the whole subtree.
         """
         c = self._c_array
+        rml = self._rml
+        offsets = rml.context_offsets
+        z = self._corrections.by_slot
 
         def advance(contexts, syms, parent_sp, parent_ep):
-            n = syms.size
             # Dead-by-default: a bigram the RML function never labelled keeps
             # its empty range and kills the subtree below it.
-            sp = np.zeros(n, dtype=np.int64)
-            ep = np.zeros(n, dtype=np.int64)
-            keys = contexts * np.int64(self._sigma) + syms
-            unique_keys, inverse = np.unique(keys, return_inverse=True)
-            labels_per_key = np.empty(unique_keys.size, dtype=np.int64)
-            bases_per_key = np.zeros(unique_keys.size, dtype=np.int64)
-            for k, key in enumerate(unique_keys.tolist()):
-                context, w = divmod(key, self._sigma)
-                if self._rml.has_label(w, context):
-                    labels_per_key[k] = self._rml.label(w, context)
-                    bases_per_key[k] = int(c[w]) - self._corrections.get(context, w)
-                else:
-                    labels_per_key[k] = -1
-            node_labels = labels_per_key[inverse]
-            node_bases = bases_per_key[inverse]
-            alive = np.flatnonzero(node_labels >= 0)
+            sp = np.zeros(syms.size, dtype=np.int64)
+            ep = np.zeros(syms.size, dtype=np.int64)
+            slots = rml.edge_slots(syms, contexts)
+            alive = np.flatnonzero(slots >= 0)
             if alive.size:
-                frontier = np.concatenate([parent_sp[alive], parent_ep[alive]])
-                pair_labels = np.concatenate([node_labels[alive], node_labels[alive]])
-                ranks = self._wavelet_tree.rank_pairs(pair_labels, frontier)
-                sp[alive] = node_bases[alive] + ranks[: alive.size]
-                ep[alive] = node_bases[alive] + ranks[alive.size :]
+                live = slots[alive]
+                labels = live - offsets[contexts[alive]] + 1
+                base = c[syms[alive]] - z[live]
+                ranks = self._wavelet_tree.rank_pairs(
+                    np.concatenate([labels, labels]),
+                    np.concatenate([parent_sp[alive], parent_ep[alive]]),
+                )
+                sp[alive] = base + ranks[: alive.size]
+                ep[alive] = base + ranks[alive.size :]
             return sp, ep
 
         return trie_backward_search(
@@ -396,20 +381,16 @@ class CiNCT:
         context = self._symbol_at_row(j)
         row = j
         for k in range(1, length + 1):
-            label = self._wavelet_tree.access(row)
-            target = self._rml.decode(label, context)
-            out[length - k] = target
-            row = int(self._c_array[target]) + self._pseudo_rank(row, target, context, label)
-            context = target
+            row, context = self._lf_step(row, context)
+            out[length - k] = context
         return out
 
     def extract_many(self, rows: Sequence[int], length: int) -> list[list[int]]:
         """Batched Algorithm 4: extract sub-paths from many BWT rows at once.
 
-        Each LF step batches the wavelet-tree accesses and groups the
-        PseudoRank calls by label, so a workload of extractions pays one
-        vectorized rank per distinct label per step.  Results are
-        bit-identical to calling :meth:`extract` per row.
+        All rows LF-step together (:meth:`_lf_step_many`): one fused wavelet
+        descent per step whatever the labels.  Results are bit-identical to
+        calling :meth:`extract` per row.
         """
         rows_arr = np.asarray(list(rows), dtype=np.int64)
         if rows_arr.size and (int(rows_arr.min()) < 0 or int(rows_arr.max()) >= self._n):
@@ -423,34 +404,34 @@ class CiNCT:
         contexts = np.searchsorted(self._c_array, rows_arr, side="right") - 1
         current = rows_arr.copy()
         for k in range(1, length + 1):
-            current, contexts = self._lf_step_many(current, contexts, out[:, length - k])
+            current, contexts = self._lf_step_many(current, contexts)
+            out[:, length - k] = contexts
         return [row.tolist() for row in out]
 
+    def _lf_step(self, row: int, context: int) -> tuple[int, int]:
+        """One LF step with PseudoRank: ``(LF(row), T-symbol decoded at row)``.
+
+        One wavelet walk yields the row's label and that label's rank
+        (:meth:`~repro.wavelet.tree.WaveletTree.inverse_select`); the ET-graph
+        decodes the label and Theorem 2 corrects the rank.
+        """
+        label, rank = self._wavelet_tree.inverse_select(row)
+        target = self._rml.decode(label, context)
+        return int(self._c_array[target]) + rank - self._corrections.get(context, target), target
+
     def _lf_step_many(
-        self, rows: np.ndarray, contexts: np.ndarray, targets_out: np.ndarray | None = None
+        self, rows: np.ndarray, contexts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One batched LF step: decode every row's label and PseudoRank it."""
-        labels = self._wavelet_tree.access_many(rows)
-        decode = self._rml.decode
-        targets = np.asarray(
-            [decode(int(label), int(context)) for label, context in zip(labels, contexts)],
-            dtype=np.int64,
-        )
-        if targets_out is not None:
-            targets_out[:] = targets
-        ranks = np.empty(rows.size, dtype=np.int64)
-        for label in np.unique(labels).tolist():
-            mask = labels == label
-            ranks[mask] = self._wavelet_tree.rank_many(int(label), rows[mask])
-        get_correction = self._corrections.get
-        corrections = np.asarray(
-            [
-                get_correction(int(context), int(target))
-                for context, target in zip(contexts, targets)
-            ],
-            dtype=np.int64,
-        )
-        return self._c_array[targets] + ranks - corrections, targets
+        """:meth:`_lf_step` for a whole frontier.
+
+        One fused wavelet descent yields every row's label and rank; label
+        decoding and the PseudoRank corrections are then gathers at the
+        rows' RML edge slots.
+        """
+        labels, ranks = self._wavelet_tree.inverse_select_many(rows)
+        slots = self._rml.label_slots(labels, contexts)
+        targets = self._rml.targets[slots]
+        return self._c_array[targets] + ranks - self._corrections.by_slot[slots], targets
 
     def extract_full_text(self) -> list[int]:
         """Recover the entire trajectory string (``extract(0, n)`` per Section VI-F)."""
@@ -470,10 +451,7 @@ class CiNCT:
         row = j
         context = self._symbol_at_row(row)
         while not bool(self._sa_marked[row]):
-            label = self._wavelet_tree.access(row)
-            target = self._rml.decode(label, context)
-            row = int(self._c_array[target]) + self._pseudo_rank(row, target, context, label)
-            context = target
+            row, context = self._lf_step(row, context)
             steps += 1
         sample_index = int(self._sa_marked_prefix[row])
         return (int(self._sa_samples[sample_index]) + steps) % self._n

@@ -147,8 +147,12 @@ class _TierIntervalView:
     partition set (seal, tiered merge, consolidate) coincides with an engine
     epoch bump, which clears the cache — so a tier id plus the
     epoch-invalidation contract uniquely identifies a partition's suffix
-    ranges.  The mutable tail never gets a view: it grows without an epoch
-    bump, so its ranges must not be remembered.
+    ranges.  The engine hands the backend its cache pinned to the epoch the
+    query started under (:class:`~repro.engine.executor.PinnedIntervalCache`)
+    and every call here goes through it, so a range computed for a snapshot
+    that a growth step has since replaced is dropped instead of stored.  The
+    mutable tail never gets a view: it grows without an epoch bump, so its
+    ranges must not be remembered.
     """
 
     __slots__ = ("_cache", "_tier")

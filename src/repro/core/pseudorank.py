@@ -32,11 +32,24 @@ class _RankStructure(Protocol):
 
 
 class CorrectionTerms:
-    """The per-edge correction terms ``Z_{w'w}`` of Theorem 2."""
+    """The per-edge correction terms ``Z_{w'w}`` of Theorem 2.
 
-    def __init__(self, terms: dict[tuple[int, int], int], text_length: int):
+    :attr:`by_slot` holds the same terms aligned with the edge slots of the
+    :class:`~repro.core.rml.RMLFunction` they were computed for, so a batch
+    of PseudoRank corrections is one gather.
+    """
+
+    def __init__(
+        self, terms: dict[tuple[int, int], int], text_length: int, by_slot: np.ndarray
+    ):
         self._terms = terms
         self._text_length = text_length
+        self._by_slot = by_slot
+
+    @property
+    def by_slot(self) -> np.ndarray:
+        """``Z`` of every ET-graph edge, indexed by its RML slot."""
+        return self._by_slot
 
     def get(self, context: int, target: int) -> int:
         """Return ``Z_{context, target}``; raises for unobserved transitions."""
@@ -78,6 +91,8 @@ def compute_correction_terms(
     label_counts = np.zeros(max_label + 1, dtype=np.int64)
 
     terms: dict[tuple[int, int], int] = {}
+    by_slot = [0] * len(rml)
+    offsets = rml.context_offsets.tolist()
     position = 0
     for context in range(sigma):
         boundary = int(c_array[context])
@@ -88,8 +103,10 @@ def compute_correction_terms(
         if int(c_array[context + 1]) == boundary:
             continue  # context never occurs; no edges to label
         for target, label in rml.labels_for_context(context).items():
-            terms[(context, target)] = int(label_counts[label]) - int(symbol_counts[target])
-    return CorrectionTerms(terms, text_length=n)
+            z = int(label_counts[label]) - int(symbol_counts[target])
+            terms[(context, target)] = z
+            by_slot[offsets[context] + label - 1] = z
+    return CorrectionTerms(terms, text_length=n, by_slot=np.asarray(by_slot, dtype=np.int64))
 
 
 def pseudo_rank(

@@ -31,6 +31,14 @@ class RMLFunction:
 
     Instances are built by :func:`build_rml`; they map ``(context, target)``
     edges to labels (>= 1) and back.
+
+    Besides the scalar lookups, the function is laid out as arrays for the
+    batched query paths.  Every edge has a **slot**: the edges of context
+    ``w'`` fill slots ``context_offsets[w'] .. context_offsets[w' + 1] - 1``
+    in label order, so the edge labelled ``eta`` sits at slot
+    ``context_offsets[w'] + eta - 1``.  :attr:`targets` is indexed by slot,
+    and per-edge data computed elsewhere (the PseudoRank correction terms) is
+    aligned with the same slots.
     """
 
     def __init__(self, label_of: dict[tuple[int, int], int], target_of: dict[tuple[int, int], int]):
@@ -41,10 +49,76 @@ class RMLFunction:
         for (context, target), label in label_of.items():
             self._by_context.setdefault(context, {})[target] = label
 
+        n_edges = len(label_of)
+        contexts = np.fromiter((c for c, _ in label_of), dtype=np.int64, count=n_edges)
+        targets = np.fromiter((t for _, t in label_of), dtype=np.int64, count=n_edges)
+        labels = np.fromiter(label_of.values(), dtype=np.int64, count=n_edges)
+        # Symbols are non-negative, so ``context * _key_base + target`` is a
+        # collision-free key for every pair of in-range symbols.
+        self._key_base = max(int(contexts.max()), int(targets.max())) + 1 if n_edges else 1
+        by_slot = np.lexsort((labels, contexts))
+        self._context_offsets = np.zeros(self._key_base + 1, dtype=np.int64)
+        np.cumsum(np.bincount(contexts, minlength=self._key_base), out=self._context_offsets[1:])
+        ranks = np.arange(by_slot.size) - self._context_offsets[contexts[by_slot]] + 1
+        if not np.array_equal(labels[by_slot], ranks):
+            raise ConstructionError("the labels of every context must be 1 .. its out-degree")
+        self._targets = targets[by_slot]
+        keys = contexts[by_slot] * self._key_base + self._targets
+        self._key_order = np.argsort(keys)
+        self._sorted_keys = keys[self._key_order]
+
     @property
     def max_label(self) -> int:
         """Largest label assigned by this function (alphabet size of phi(Tbwt))."""
         return self._max_label
+
+    @property
+    def context_offsets(self) -> np.ndarray:
+        """First slot of every context's edges (length ``max symbol + 2``)."""
+        return self._context_offsets
+
+    @property
+    def targets(self) -> np.ndarray:
+        """Target symbol of every edge, by slot."""
+        return self._targets
+
+    def edge_slots(self, targets: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+        """Slot of each ``(context, target)`` edge; ``-1`` where ``phi`` is undefined.
+
+        The vectorized :meth:`has_label`/:meth:`label`: one ``searchsorted``
+        over the sorted edge keys answers every pair at once.
+        """
+        targets = np.asarray(targets, dtype=np.int64)
+        contexts = np.asarray(contexts, dtype=np.int64)
+        if self._sorted_keys.size == 0:
+            return np.full(targets.size, -1, dtype=np.int64)
+        base = self._key_base
+        in_range = (targets >= 0) & (targets < base) & (contexts >= 0) & (contexts < base)
+        keys = np.where(in_range, contexts * base + targets, -1)
+        found = np.minimum(np.searchsorted(self._sorted_keys, keys), self._sorted_keys.size - 1)
+        return np.where(self._sorted_keys[found] == keys, self._key_order[found], -1)
+
+    def label_slots(self, labels: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+        """Slot of each ``(context, label)`` edge: the vectorized :meth:`decode`.
+
+        ``targets[label_slots(labels, contexts)]`` decodes every label at
+        once; an undefined label raises :class:`QueryError` like the scalar
+        decode.
+        """
+        labels = np.asarray(labels, dtype=np.int64)
+        contexts = np.asarray(contexts, dtype=np.int64)
+        if labels.size == 0:
+            return labels
+        if int(contexts.min()) < 0 or int(contexts.max()) >= self._key_base:
+            raise QueryError(f"contexts out of range [0, {self._key_base})")
+        first = self._context_offsets[contexts]
+        undefined = (labels < 1) | (labels > self._context_offsets[contexts + 1] - first)
+        if undefined.any():
+            bad = int(np.flatnonzero(undefined)[0])
+            raise QueryError(
+                f"label {int(labels[bad])} is undefined for context {int(contexts[bad])}"
+            )
+        return first + labels - 1
 
     def label(self, target: int, context: int) -> int:
         """``phi(target | context)``; raises if the transition was never observed."""

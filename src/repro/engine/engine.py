@@ -610,24 +610,21 @@ class TrajectoryEngine(ScalarQueryAPI):
         matches = self._filter_window(payload, planned.plan.t_start, planned.plan.t_end)
         return StrictPathResult(query, matches)
 
-    def _resolve_encoded(self, pattern: tuple[int, ...]) -> tuple[StrictPathMatch, ...]:
+    def _resolve_encoded(
+        self, pattern: tuple[int, ...], **interval_kwargs: object
+    ) -> tuple[StrictPathMatch, ...]:
         """Locate an encoded pattern and annotate matches with timestamps.
 
-        Timestamps come from the store's sampled point lookups
-        (:meth:`~repro.temporal.TimestampStore.timestamp`), so resolving a
-        match never decodes a whole trajectory.
+        ``interval_kwargs`` is the executor's pinned interval cache, when the
+        backend shares intervals.  Timestamps come from the store's sampled
+        point lookups (:meth:`~repro.temporal.TimestampStore.timestamp`), so
+        resolving a match never decodes a whole trajectory.
         """
         store = self._store
         n_stored = len(store)
         matches: list[StrictPathMatch] = []
-        kwargs: dict[str, object] = {}
-        if (
-            getattr(self._backend, "supports_interval_sharing", False)
-            and self._interval_cache.enabled
-        ):
-            kwargs["interval_cache"] = self._interval_cache
         for trajectory_id, start, end in self._backend.locate_matches(
-            list(pattern), **kwargs
+            list(pattern), **interval_kwargs
         ):
             if 0 <= trajectory_id < n_stored:
                 start_time = store.timestamp(trajectory_id, start)

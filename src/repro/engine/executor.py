@@ -54,10 +54,11 @@ from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 from ..queries.strict_path import StrictPathMatch
 from .plan import KIND_CONTAINS, KIND_COUNT, KIND_EXTRACT, KIND_LOCATE, QueryPlan
 
-#: Resolves an encoded pattern to located, timestamp-annotated matches.
-#: Provided by the engine (it owns the timestamp store the matches borrow
-#: their ``start_time``/``end_time`` from).
-MatchResolver = Callable[[tuple[int, ...]], tuple[StrictPathMatch, ...]]
+#: Resolves an encoded pattern to located, timestamp-annotated matches,
+#: taking the executor's optional ``interval_cache`` keyword.  Provided by the
+#: engine (it owns the timestamp store the matches borrow their
+#: ``start_time``/``end_time`` from).
+MatchResolver = Callable[..., tuple[StrictPathMatch, ...]]
 
 
 @runtime_checkable
@@ -204,6 +205,9 @@ class ResultCache:
     That is benign — payloads are deterministic values, so the second
     :meth:`put` overwrites with an identical payload — and deliberately
     cheap: holding a lock across backend execution would serialize callers.
+    What must not happen is a payload computed before a growth step landing
+    after it, so :meth:`put` takes the epoch its payload was computed under
+    and drops the write, under the lock, once the cache has moved past it.
     """
 
     def __init__(self, capacity: int, epoch: int = 0, max_bytes: int | None = None):
@@ -285,15 +289,17 @@ class ResultCache:
             self.hits += 1
             return payload
 
-    def put(self, plan: QueryPlan, payload: object) -> None:
+    def put(self, plan: QueryPlan, payload: object, epoch: int | None = None) -> None:
         """Store one executed payload, evicting the least recently used.
 
-        Eviction keeps going until both bounds hold: at most ``capacity``
-        entries and (when ``max_bytes`` is set) at most ``max_bytes``
-        approximate payload bytes.
+        ``epoch`` is the growth epoch the payload was computed under; a
+        payload from an epoch the cache has already left is stale and is
+        dropped.  Eviction keeps going until both bounds hold: at most
+        ``capacity`` entries and (when ``max_bytes`` is set) at most
+        ``max_bytes`` approximate payload bytes.
         """
         with self._lock:
-            if self._capacity <= 0:
+            if self._capacity <= 0 or (epoch is not None and epoch != self._epoch):
                 return
             nbytes = approximate_payload_bytes(payload)
             if self._max_bytes is not None and nbytes > self._max_bytes:
@@ -403,6 +409,10 @@ class IntervalCache:
     Thread safety matches :class:`ResultCache`: one lock around every public
     method; lookup→search→store of one prefix is deliberately not atomic
     (ranges are deterministic, so racing writers store identical values).
+    Each surface takes an optional ``epoch``: a call made for a search that
+    started under an epoch the cache has since left misses and stores
+    nothing, because its ranges belong to the old index.  :meth:`pinned`
+    hands backends a view that passes one execution's epoch on every call.
     """
 
     def __init__(self, capacity: int, epoch: int = 0):
@@ -445,12 +455,22 @@ class IntervalCache:
                 self._entries.clear()
             self._epoch = epoch
 
-    def lookup(self, key: IntervalKey) -> tuple[bool, "tuple[int, int] | None"]:
+    def pinned(self, epoch: int) -> "PinnedIntervalCache":
+        """This cache as seen by a search that started under ``epoch``."""
+        return PinnedIntervalCache(self, epoch)
+
+    def _stale(self, epoch: int | None) -> bool:
+        # Callers hold self._lock.
+        return epoch is not None and epoch != self._epoch
+
+    def lookup(
+        self, key: IntervalKey, epoch: int | None = None
+    ) -> tuple[bool, "tuple[int, int] | None"]:
         """``(found, interval)`` for one prefix key; counts a hit or a miss."""
         with self._lock:
             if self._capacity <= 0:
                 return False, None
-            interval = self._entries.get(key, _MISS)
+            interval = _MISS if self._stale(epoch) else self._entries.get(key, _MISS)
             if interval is _MISS:
                 self.misses += 1
                 return False, None
@@ -459,7 +479,7 @@ class IntervalCache:
             return True, interval  # type: ignore[return-value]
 
     def deepest(
-        self, keys: Sequence[IntervalKey]
+        self, keys: Sequence[IntervalKey], epoch: int | None = None
     ) -> tuple[int, "tuple[int, int] | None"]:
         """Probe ancestor keys (longest first); ``(index, interval)`` or ``(-1, None)``.
 
@@ -470,7 +490,7 @@ class IntervalCache:
         with self._lock:
             if self._capacity <= 0:
                 return -1, None
-            for index, key in enumerate(keys):
+            for index, key in enumerate(() if self._stale(epoch) else keys):
                 interval = self._entries.get(key, _MISS)
                 if interval is _MISS:
                     continue
@@ -480,10 +500,12 @@ class IntervalCache:
             self.misses += 1
             return -1, None
 
-    def store(self, key: IntervalKey, interval: "tuple[int, int] | None") -> None:
+    def store(
+        self, key: IntervalKey, interval: "tuple[int, int] | None", epoch: int | None = None
+    ) -> None:
         """Remember one computed search state (LRU-evicting; never counted)."""
         with self._lock:
-            if self._capacity <= 0:
+            if self._capacity <= 0 or self._stale(epoch):
                 return
             if key in self._entries:
                 self._entries.move_to_end(key)
@@ -535,6 +557,35 @@ class IntervalCache:
             }
 
 
+class PinnedIntervalCache:
+    """An :class:`IntervalCache` pinned to the epoch one execution started under.
+
+    Backends see the usual ``enabled``/``lookup``/``deepest``/``store``
+    surface; every call carries the pinned epoch, so once the engine grows
+    the execution neither reads ranges of the new index nor writes ranges
+    of the old one.
+    """
+
+    __slots__ = ("_cache", "_epoch")
+
+    def __init__(self, cache: IntervalCache, epoch: int):
+        self._cache = cache
+        self._epoch = int(epoch)
+
+    @property
+    def enabled(self) -> bool:
+        return self._cache.enabled
+
+    def lookup(self, key: IntervalKey) -> tuple[bool, "tuple[int, int] | None"]:
+        return self._cache.lookup(key, self._epoch)
+
+    def deepest(self, keys: Sequence[IntervalKey]) -> tuple[int, "tuple[int, int] | None"]:
+        return self._cache.deepest(keys, self._epoch)
+
+    def store(self, key: IntervalKey, interval: "tuple[int, int] | None") -> None:
+        self._cache.store(key, interval, self._epoch)
+
+
 # --------------------------------------------------------------------------- #
 # execute stage
 # --------------------------------------------------------------------------- #
@@ -572,20 +623,29 @@ class QueryExecutor:
         """The suffix-range interval cache threaded into the backend."""
         return self._interval_cache
 
-    def _interval_kwargs(self) -> dict[str, IntervalCache]:
+    def _interval_kwargs(self) -> dict[str, PinnedIntervalCache]:
         """Backend kwargs carrying the interval cache, when it applies.
 
-        Empty for backends without suffix ranges
-        (``supports_interval_sharing`` unset) and when the cache is disabled,
-        so those backends keep their exact pre-cache call signature.
+        The cache goes in pinned to its current epoch (see
+        :class:`PinnedIntervalCache`).  Empty for backends without suffix
+        ranges (``supports_interval_sharing`` unset) and when the cache is
+        disabled, so those backends keep their exact pre-cache call
+        signature.
         """
         cache = self._interval_cache
         if cache is not None and self._share_intervals and cache.enabled:
-            return {"interval_cache": cache}
+            return {"interval_cache": cache.pinned(cache.epoch)}
         return {}
 
     def execute(self, plans: Iterable[QueryPlan]) -> dict[QueryPlan, object]:
-        """Payloads for every distinct canonical plan in ``plans``."""
+        """Payloads for every distinct canonical plan in ``plans``.
+
+        Both cache epochs are read before anything executes: a read that
+        overlaps a growth step computes against the old index, so none of
+        its payloads or ranges may land in the caches after the step has
+        emptied them.
+        """
+        run = _Execution(self._cache.epoch, self._interval_kwargs())
         canonical: list[QueryPlan] = []
         seen: set[QueryPlan] = set()
         for plan in plans:
@@ -594,55 +654,50 @@ class QueryExecutor:
                 seen.add(key)
                 canonical.append(key)
 
-        payloads: dict[QueryPlan, object] = {}
         misses: list[QueryPlan] = []
         for key in canonical:
             cached = self._cache.get(key)
             if cached is _MISS:
                 misses.append(key)
             else:
-                payloads[key] = cached
+                run.payloads[key] = cached
 
         groups = optimize_plans(misses)
-        self._execute_counts(groups.count, payloads)
+        self._execute_counts(groups.count, run)
         # Contains after counts: a count over the same pattern computed in
         # this very batch (or already cached) answers the contains for free.
-        self._execute_contains(groups.contains, payloads)
-        self._execute_extracts(groups.extract, payloads)
-        self._execute_locates(groups.locate, payloads)
-        return payloads
+        self._execute_contains(groups.contains, run)
+        self._execute_extracts(groups.extract, run)
+        self._execute_locates(groups.locate, run)
+        return run.payloads
+
+    def _record(self, run: "_Execution", plan: QueryPlan, payload: object) -> None:
+        run.payloads[plan] = payload
+        self._cache.put(plan, payload, run.epoch)
 
     # ------------------------------------------------------------------ #
     # per-group vectorized execution
     # ------------------------------------------------------------------ #
-    def _execute_counts(
-        self, plans: Sequence[QueryPlan], payloads: dict[QueryPlan, object]
-    ) -> None:
+    def _execute_counts(self, plans: Sequence[QueryPlan], run: "_Execution") -> None:
         if not plans:
             return
         counts = self._backend.count_many(
-            [list(plan.pattern) for plan in plans], **self._interval_kwargs()
+            [list(plan.pattern) for plan in plans], **run.intervals
         )
         for plan, count in zip(plans, counts):
-            payload = int(count)
-            payloads[plan] = payload
-            self._cache.put(plan, payload)
+            self._record(run, plan, int(count))
 
-    def _execute_contains(
-        self, plans: Sequence[QueryPlan], payloads: dict[QueryPlan, object]
-    ) -> None:
+    def _execute_contains(self, plans: Sequence[QueryPlan], run: "_Execution") -> None:
         unresolved: list[QueryPlan] = []
         for plan in plans:
             twin = plan.count_twin()
-            count = payloads.get(twin, _MISS)
+            count = run.payloads.get(twin, _MISS)
             if count is _MISS:
                 count = self._cache.peek(twin)
             if count is _MISS:
                 unresolved.append(plan)
                 continue
-            payload = int(count) > 0  # type: ignore[call-overload]
-            payloads[plan] = payload
-            self._cache.put(plan, payload)
+            self._record(run, plan, int(count) > 0)  # type: ignore[call-overload]
         if not unresolved:
             return
         if len(unresolved) == 1:
@@ -650,28 +705,21 @@ class QueryExecutor:
             # specializations (partitioned any-partition short-circuit,
             # linear-scan first-match stop), not a full count.
             plan = unresolved[0]
-            payload = bool(
-                self._backend.contains(list(plan.pattern), **self._interval_kwargs())
-            )
-            payloads[plan] = payload
-            self._cache.put(plan, payload)
+            found = self._backend.contains(list(plan.pattern), **run.intervals)
+            self._record(run, plan, bool(found))
             return
         # Several distinct contains misses run as one vectorized count_many
         # pass instead of a scalar loop; the counts land in the cache under
         # their count twins too, so later counts over the same paths are warm.
         counts = self._backend.count_many(
-            [list(plan.pattern) for plan in unresolved], **self._interval_kwargs()
+            [list(plan.pattern) for plan in unresolved], **run.intervals
         )
         for plan, count in zip(unresolved, counts):
-            self._cache.put(plan.count_twin(), int(count))
-            payload = int(count) > 0
-            payloads[plan] = payload
-            self._cache.put(plan, payload)
+            self._cache.put(plan.count_twin(), int(count), run.epoch)
+            self._record(run, plan, int(count) > 0)
 
     def _execute_extracts(
-        self,
-        grouped: "OrderedDict[int, list[QueryPlan]]",
-        payloads: dict[QueryPlan, object],
+        self, grouped: "OrderedDict[int, list[QueryPlan]]", run: "_Execution"
     ) -> None:
         for length, plans in grouped.items():
             if len(plans) == 1:
@@ -683,17 +731,22 @@ class QueryExecutor:
                     [plan.row for plan in plans], length
                 )
             for plan, symbols in zip(plans, symbol_lists):
-                payload = tuple(int(symbol) for symbol in symbols)
-                payloads[plan] = payload
-                self._cache.put(plan, payload)
+                self._record(run, plan, tuple(int(symbol) for symbol in symbols))
 
-    def _execute_locates(
-        self, plans: Sequence[QueryPlan], payloads: dict[QueryPlan, object]
-    ) -> None:
+    def _execute_locates(self, plans: Sequence[QueryPlan], run: "_Execution") -> None:
         for plan in plans:
-            payload = self._resolver(plan.pattern)
-            payloads[plan] = payload
-            self._cache.put(plan, payload)
+            self._record(run, plan, self._resolver(plan.pattern, **run.intervals))
+
+
+@dataclass
+class _Execution:
+    """State of one :meth:`QueryExecutor.execute` call."""
+
+    #: Result-cache epoch the execution started under.
+    epoch: int
+    #: Backend kwargs carrying the pinned interval cache (or none).
+    intervals: dict[str, PinnedIntervalCache]
+    payloads: dict[QueryPlan, object] = field(default_factory=dict)
 
 
 __all__ = [
@@ -703,6 +756,7 @@ __all__ = [
     "approximate_payload_bytes",
     "optimize_plans",
     "IntervalCache",
+    "PinnedIntervalCache",
     "ResultCache",
     "QueryExecutor",
 ]

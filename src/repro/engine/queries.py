@@ -144,9 +144,12 @@ class LocateResult:
 class ExtractResult:
     """Answer to an :class:`ExtractQuery`.
 
-    ``symbols`` are the internal symbols in travel order; ``edges`` decodes
-    them back to road-segment IDs, with the special symbols rendered as the
-    paper's ``"#"`` (end) and ``"$"`` (separator) markers.
+    ``symbols`` are the internal symbols in stored-text order.  The
+    trajectory string stores every trajectory reversed, so a window inside
+    one trajectory reads in *reverse* travel order (``edges[::-1]`` is the
+    order the vehicle drove it).  ``edges`` decodes the symbols back to
+    road-segment IDs, with the special symbols rendered as the paper's
+    ``"#"`` (end) and ``"$"`` (separator) markers.
     """
 
     query: ExtractQuery

@@ -20,7 +20,7 @@ from .huffman import (
     frequencies_of,
 )
 from .intvector import IntVector, bits_needed, prefix_sums
-from .rrr import RRRBitVector, decode_block, encode_block, offset_bits
+from .rrr import RRRBitVector, decode_block, decode_blocks, encode_block, offset_bits
 
 __all__ = [
     "BitVector",
@@ -31,6 +31,7 @@ __all__ = [
     "RRRBitVector",
     "encode_block",
     "decode_block",
+    "decode_blocks",
     "offset_bits",
     "IntVector",
     "bits_needed",

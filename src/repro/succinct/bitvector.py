@@ -231,6 +231,11 @@ class BitVector:
         """Total number of unset bits."""
         return self._n - self._n_ones
 
+    @property
+    def words(self) -> np.ndarray:
+        """Packed ``uint64`` words: bit ``i`` of word ``k`` is position ``64k + i``."""
+        return self._words
+
     def access(self, i: int) -> int:
         """Return the bit at position ``i`` (0-based)."""
         if not 0 <= i < self._n:

@@ -122,6 +122,32 @@ def decode_block(cls: int, offset: int, b: int) -> list[int]:
     return bits
 
 
+def decode_blocks(classes: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
+    """:func:`decode_block` for many blocks, one ``uint64`` word per block.
+
+    Bit ``i`` of a word is position ``i`` of its block (least significant
+    first, the layout of plain bit vectors), so an in-block rank is one mask
+    and one popcount.  Each block is decoded with native ints and stops at
+    its last one bit: a few microseconds per block and no fixed cost per
+    call, which matters because callers decode the handful of blocks a
+    query touches for the first time.
+    """
+    table = _binomial_table(b)
+    words = []
+    for remaining, offset in zip(np.asarray(classes).tolist(), np.asarray(offsets).tolist()):
+        word = 0
+        position = 0
+        while remaining:
+            zero_branch = table[b - position - 1][remaining] if remaining < b - position else 0
+            if offset >= zero_branch:
+                word |= 1 << position
+                offset -= zero_branch
+                remaining -= 1
+            position += 1
+        words.append(word)
+    return np.asarray(words, dtype=np.uint64)
+
+
 @lru_cache(maxsize=1 << 16)
 def _decoded_block(cls: int, offset: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Memoised decode: ``(bits, prefix_popcounts)`` for one encoded block.
@@ -309,6 +335,16 @@ class RRRBitVector:
     def n_zeros(self) -> int:
         """Total number of unset bits."""
         return self._n - self._n_ones
+
+    @property
+    def block_classes(self) -> np.ndarray:
+        """Per-block classes (popcounts), one ``uint8`` per block of ``b`` bits."""
+        return self._classes
+
+    @property
+    def block_offsets(self) -> np.ndarray:
+        """Per-block enumerative offsets within their class (``uint64``)."""
+        return self._offsets
 
     def _decode(self, block_index: int) -> list[int]:
         return list(self._decoded(block_index)[0])

@@ -12,7 +12,9 @@ index variant:
 Both built-in backends also expose the vectorized batch primitives
 (``rank1_many`` / ``rank0_many`` / ``access_many``); the module-level helpers
 below dispatch to them when available and fall back to scalar loops so that
-custom backends implementing only the minimal protocol keep working.
+custom backends implementing only the minimal protocol keep working in the
+wavelet matrix.  The wavelet tree's batched kernel reads the block arrays of
+the two built-in backends directly, so a tree accepts only those.
 """
 
 from __future__ import annotations

@@ -8,17 +8,25 @@ holding, for every sequence element routed through that node, the next bit of
 its code.
 
 Construction routes the *whole sequence* level by level with numpy stable
-partitions (one ``argsort`` of ``node * 2 + bit`` keys per level) instead of
-shuffling Python lists symbol by symbol, and the tree topology is resolved at
-build time into flat arrays: a global list of node bit vectors, per-node child
-pointers, and a per-symbol array of the node ids along its code path.  Rank
-and access therefore never touch a tuple-keyed dict on the hot path.
+partitions instead of shuffling Python lists symbol by symbol, and the tree
+topology is resolved at build time into flat arrays: a global list of node
+bit vectors, per-node child pointers, and per-symbol tables of the node ids
+along each code path.
 
-``rank(symbol, i)`` walks the code of ``symbol`` from the root, performing one
-bit-vector rank per level — exactly the access pattern whose cost the paper
-analyses (Theorem 1: O(1 + H0) expected levels for a Huffman shape).
-:meth:`WaveletTree.rank_many` performs the same walk once for a whole batch of
-positions, turning the per-level work into vectorized ``rank1_many`` calls.
+Scalar ``rank(symbol, i)`` walks the code of ``symbol`` from the root,
+performing one bit-vector rank per level — exactly the access pattern whose
+cost the paper analyses (Theorem 1: O(1 + H0) expected levels for a Huffman
+shape).  The batched queries (:meth:`WaveletTree.rank_pairs`,
+:meth:`~WaveletTree.rank_many`, :meth:`~WaveletTree.access_many` and the
+fused :meth:`~WaveletTree.inverse_select_many`) run level-synchronously over a
+**flat block directory**: every node's blocks concatenated into tree-wide
+arrays with one start-block index per node and one cumulative popcount for
+the whole tree.  A rank or access for any mix of ``(node, position)`` pairs
+at one depth is then one gather plus ``np.bitwise_count`` — no per-node loop
+(Navarro, "Wavelet trees for all", JDA 2014).  RRR blocks are decoded to
+64-bit words the first time a batched query touches them and memoised in a
+per-tree array; the succinct encoding, and hence :meth:`size_in_bits`, is
+unchanged.
 """
 
 from __future__ import annotations
@@ -28,15 +36,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..exceptions import AlphabetError, ConstructionError, QueryError
-from ..succinct import build_huffman_code
-from .factories import (
-    BitVectorFactory,
-    BitVectorLike,
-    access_many,
-    build_many,
-    plain_bitvector_factory,
-    rank1_many,
-)
+from ..succinct import BitVector, RRRBitVector, build_huffman_code, decode_blocks
+from .factories import BitVectorFactory, BitVectorLike, build_many, plain_bitvector_factory
+
+#: ``_LOW_MASKS[i]`` keeps the ``i`` lowest bits of a word (``i`` in 0..64).
+_LOW_MASKS = np.array([(1 << i) - 1 for i in range(65)], dtype=np.uint64)
+#: ``_BITS[i]`` selects bit ``i`` of a word.
+_BITS = np.array([1 << i for i in range(64)], dtype=np.uint64)
+#: Word of an RRR block not decoded yet; no block of ``b <= 63`` bits has
+#: every one of the 64 bits set.
+_UNDECODED = np.uint64(0xFFFFFFFFFFFFFFFF)
+_ZERO_CLASS = np.zeros(1, dtype=np.uint8)
+_ZERO_WORD = np.zeros(1, dtype=np.uint64)
 
 
 class WaveletTree:
@@ -50,7 +61,8 @@ class WaveletTree:
         Mapping from every distinct symbol of ``sequence`` to its code, a
         tuple of bits (root-to-leaf).  The code must be prefix-free.
     bitvector_factory:
-        Backend used for the per-node bit vectors.
+        Backend used for the per-node bit vectors: plain or RRR (see
+        :mod:`repro.wavelet.factories`).
     """
 
     def __init__(
@@ -90,9 +102,8 @@ class WaveletTree:
 
         self._build_topology(present)
         self._build_bitvectors(seq, values, factory)
+        self._build_block_directory()
         self._build_paths()
-        self._code_to_symbol = {code: symbol for symbol, code in self._codes.items()}
-        self._pair_tables: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -224,8 +235,53 @@ class WaveletTree:
             cur_ids = next_ids[next_survive]
             cur_nodes = next_nodes[next_survive]
 
+    def _build_block_directory(self) -> None:
+        """Concatenate every node's blocks into tree-wide arrays.
+
+        Node ``v`` owns blocks ``[_node_start[v], _node_start[v + 1])`` of
+        ``_block_bits`` bits each, ``_cum[k]`` counts the ones in every block
+        before ``k`` and ``_node_base[v] = _cum[_node_start[v]]``, so the ones
+        before position ``p`` of node ``v`` are ``_cum[k] - _node_base[v]``
+        plus a popcount of block ``k = _node_start[v] + p // _block_bits``.
+
+        Plain bit vectors contribute their packed words as they are.  RRR bit
+        vectors contribute their classes and offsets; their words start out
+        as :data:`_UNDECODED` and are decoded the first time a query touches
+        them (class-0 blocks are all zeros and start out decoded).  One zero
+        block at the end keeps a rank at the very end of the last node in
+        bounds.
+        """
+        bvs = self._node_bvs
+        if all(isinstance(bv, RRRBitVector) for bv in bvs):
+            self._block_bits = bvs[0].block_size
+            sizes = [bv.block_classes.size for bv in bvs]
+            self._classes = np.concatenate([bv.block_classes for bv in bvs] + [_ZERO_CLASS])
+            self._offsets = np.concatenate([bv.block_offsets for bv in bvs] + [_ZERO_WORD])
+            self._words = np.where(self._classes == 0, np.uint64(0), _UNDECODED)
+            ones = self._classes
+        elif all(isinstance(bv, BitVector) for bv in bvs):
+            self._block_bits = 64
+            sizes = [bv.words.size for bv in bvs]
+            self._classes = self._offsets = None
+            self._words = np.concatenate([bv.words for bv in bvs] + [_ZERO_WORD])
+            ones = np.bitwise_count(self._words)
+        else:
+            raise ConstructionError("wavelet trees need plain or RRR bit vectors")
+        self._node_start = np.zeros(len(bvs) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=self._node_start[1:])
+        self._cum = np.zeros(ones.size + 1, dtype=np.int64)
+        np.cumsum(ones, out=self._cum[1:])
+        self._node_base = self._cum[self._node_start[:-1]]
+
     def _build_paths(self) -> None:
-        """Resolve per-symbol code paths and leaf pointers from the trie."""
+        """Resolve per-symbol code paths, leaf pointers and the path tables.
+
+        ``_pair_tables = (symbols, depths, node_table, bit_table)``: row ``r``
+        holds symbol ``symbols[r]``'s code path padded with ``-1``.  Symbols
+        whose stored path fell off the trie (truncated or ``-1``-terminated)
+        get depth 0 — :meth:`rank` returns 0 for those, and so must the
+        level-synchronous walk.
+        """
         paths: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         child = self._child_rows
         leaf_parents: list[int] = []
@@ -252,6 +308,60 @@ class WaveletTree:
         if leaf_parents:
             self._leaf_symbol[leaf_parents, leaf_bits] = leaf_symbols
             self._has_leaf[leaf_parents, leaf_bits] = True
+
+        symbols = sorted(paths)
+        rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        for s in symbols:
+            node_ids, bits = paths[s]
+            if (node_ids and node_ids[-1] < 0) or len(node_ids) != len(self._codes[s]):
+                rows.append(((), ()))
+            else:
+                rows.append((node_ids, bits))
+        depths = np.asarray([len(row[0]) for row in rows], dtype=np.int64)
+        max_depth = int(depths.max()) if depths.size else 0
+        node_table = np.full((len(rows), max_depth), -1, dtype=np.int64)
+        bit_table = np.zeros((len(rows), max_depth), dtype=bool)
+        for r, (node_ids, bits) in enumerate(rows):
+            node_table[r, : len(node_ids)] = node_ids
+            bit_table[r, : len(bits)] = bits
+        self._pair_tables = (np.asarray(symbols, dtype=np.int64), depths, node_table, bit_table)
+
+    # ------------------------------------------------------------------ #
+    # the level-synchronous kernel
+    # ------------------------------------------------------------------ #
+    def _block_words(self, blocks: np.ndarray) -> np.ndarray:
+        """The 64-bit words of ``blocks``, decoding RRR blocks on first touch."""
+        words = self._words[blocks]
+        if self._classes is not None:
+            stale = words == _UNDECODED
+            if stale.any():
+                fresh = np.unique(blocks[stale])
+                self._words[fresh] = decode_blocks(
+                    self._classes[fresh], self._offsets[fresh], self._block_bits
+                )
+                words = self._words[blocks]
+        return words
+
+    def _node_rank1(
+        self, nodes: np.ndarray | int, positions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ones before ``positions`` in the bitmaps of ``nodes``: one gather.
+
+        ``nodes`` is aligned with ``positions`` (any mix of nodes) or a single
+        node id.  Returns ``(ones, words, within)`` so callers that also need
+        the bit at each position read it from the same word.
+        """
+        b = self._block_bits
+        local = positions // b
+        within = positions - local * b
+        blocks = self._node_start[nodes] + local
+        words = self._block_words(blocks)
+        ones = (
+            self._cum[blocks]
+            - self._node_base[nodes]
+            + np.bitwise_count(words & _LOW_MASKS[within])
+        )
+        return ones, words, within
 
     # ------------------------------------------------------------------ #
     # queries
@@ -291,29 +401,9 @@ class WaveletTree:
         return position
 
     def rank_many(self, symbol: int, positions: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`rank` of one symbol over many positions.
-
-        Walks the symbol's code path once, replacing the per-position bit
-        vector ranks with one ``rank1_many`` per level.  Positions that hit an
-        empty sub-range simply stay at zero (``rank(·, 0) == 0``).
-        """
+        """Vectorized :meth:`rank` of one symbol over many positions."""
         pos = np.asarray(positions, dtype=np.int64)
-        if pos.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if int(pos.min()) < 0 or int(pos.max()) > self._n:
-            raise QueryError(f"rank positions out of range [0, {self._n}]")
-        path = self._paths.get(int(symbol))
-        if path is None:
-            return np.zeros(pos.size, dtype=np.int64)
-        node_ids, bits = path
-        current = pos
-        for node_id, bit in zip(node_ids, bits):
-            if node_id < 0:
-                return np.zeros(pos.size, dtype=np.int64)
-            bitvector = self._node_bvs[node_id]
-            ones = rank1_many(bitvector, current)
-            current = ones if bit else current - ones
-        return current
+        return self.rank_pairs(np.full(pos.size, int(symbol), dtype=np.int64), pos)
 
     def rank_pairs(
         self,
@@ -322,13 +412,11 @@ class WaveletTree:
     ) -> np.ndarray:
         """Vectorized rank of aligned ``(symbol, position)`` pairs.
 
-        Equivalent to ``[self.rank(s, p) for s, p in zip(symbols, positions)]``
-        but all pairs descend the tree together: at every depth the pending
-        pairs are grouped by the tree node their code path visits, so pairs of
-        *different* symbols share one ``rank1_many`` per node they co-visit —
-        near the root that is every pair at once.  This is what makes a
-        mixed-label frontier (the trie-shared batch search) cost one bit-vector
-        rank per distinct tree node instead of one walk per distinct symbol.
+        Equivalent to ``[self.rank(s, p) for s, p in zip(symbols, positions)]``.
+        All pairs descend the tree together: at every depth each pending pair
+        sits at the tree node its symbol's code path visits, and the ranks of
+        every ``(node, position)`` pair at that depth are one kernel call —
+        pairs of different symbols in different nodes cost the same gather.
         """
         sym = np.asarray(symbols, dtype=np.int64)
         pos = np.asarray(positions, dtype=np.int64)
@@ -337,77 +425,47 @@ class WaveletTree:
                 f"rank_pairs needs aligned arrays, got {sym.size} symbols "
                 f"and {pos.size} positions"
             )
+        out = np.zeros(pos.size, dtype=np.int64)
         if pos.size == 0:
-            return np.zeros(0, dtype=np.int64)
+            return out
         if int(pos.min()) < 0 or int(pos.max()) > self._n:
             raise QueryError(f"rank positions out of range [0, {self._n}]")
 
-        table_symbols, table_depths, node_table, bit_table = self._rank_pair_tables()
-        if node_table.shape[1] == 0:
-            return np.zeros(pos.size, dtype=np.int64)
-        # Map each entry's symbol onto its table row; absent symbols get a
-        # depth of 0, which ranks to 0 exactly like the scalar walk.
-        local = np.searchsorted(table_symbols, sym)
-        local = np.minimum(local, table_symbols.size - 1)
-        known = table_symbols[local] == sym
-        entry_depths = np.where(known, table_depths[local], 0)
-        max_depth = int(entry_depths.max()) if entry_depths.size else 0
-
-        out = np.zeros(pos.size, dtype=np.int64)
-        current = pos.copy()
-        pending = np.flatnonzero(entry_depths > 0)
-        for depth in range(max_depth):
-            if pending.size == 0:
-                break
-            nodes = node_table[local[pending], depth]
-            for node in np.unique(nodes).tolist():
-                members = pending[nodes == node]
-                bitvector = self._node_bvs[node]
-                ones = rank1_many(bitvector, current[members])
-                bits = bit_table[local[members], depth]
-                current[members] = np.where(bits == 1, ones, current[members] - ones)
-            finished = entry_depths[pending] == depth + 1
-            done = pending[finished]
-            out[done] = current[done]
-            pending = pending[~finished]
+        table_symbols, table_depths, node_table, bit_table = self._pair_tables
+        # Absent symbols get depth 0, which ranks to 0 like the scalar walk.
+        row = np.minimum(np.searchsorted(table_symbols, sym), table_symbols.size - 1)
+        depths = np.where(table_symbols[row] == sym, table_depths[row], 0)
+        active = np.flatnonzero(depths > 0)
+        row = row[active]
+        current = pos[active]
+        depths = depths[active]
+        depth = 0
+        while active.size:
+            ones = self._node_rank1(node_table[row, depth], current)[0]
+            current = np.where(bit_table[row, depth], ones, current - ones)
+            depth += 1
+            done = depths == depth
+            if done.any():
+                out[active[done]] = current[done]
             # A position that hit 0 stays 0 down the rest of its path.
-            pending = pending[current[pending] > 0]
+            going = ~done & (current > 0)
+            if not going.all():
+                active, row, current, depths = (
+                    active[going], row[going], current[going], depths[going]
+                )
         return out
-
-    def _rank_pair_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Dense per-symbol path tables backing :meth:`rank_pairs`.
-
-        Built lazily once per tree: ``(symbols, depths, node_table,
-        bit_table)`` where row ``r`` of the tables holds symbol ``symbols[r]``'s
-        code path padded with ``-1``.  Symbols whose stored path fell off the
-        trie (truncated or ``-1``-terminated) get depth 0 — :meth:`rank` and
-        :meth:`rank_many` return 0 for those, and so must the pair walk.
-        """
-        # getattr: trees unpickled from artefacts predating this cache have no
-        # ``_pair_tables`` attribute at all.
-        if getattr(self, "_pair_tables", None) is None:
-            symbols = np.asarray(sorted(self._paths), dtype=np.int64)
-            paths: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-            for s in symbols.tolist():
-                node_ids, bits = self._paths[s]
-                if (node_ids and node_ids[-1] < 0) or len(node_ids) != len(
-                    self._codes.get(s, ())
-                ):
-                    paths.append(((), ()))
-                else:
-                    paths.append((node_ids, bits))
-            depths = np.asarray([len(p[0]) for p in paths], dtype=np.int64)
-            max_depth = int(depths.max()) if depths.size else 0
-            node_table = np.full((symbols.size, max_depth), -1, dtype=np.int64)
-            bit_table = np.zeros((symbols.size, max_depth), dtype=np.int64)
-            for row, (node_ids, bits) in enumerate(paths):
-                node_table[row, : len(node_ids)] = node_ids
-                bit_table[row, : len(bits)] = bits
-            self._pair_tables = (symbols, depths, node_table, bit_table)
-        return self._pair_tables
 
     def access(self, i: int) -> int:
         """Return ``sequence[i]``."""
+        return self.inverse_select(i)[0]
+
+    def inverse_select(self, i: int) -> tuple[int, int]:
+        """``(sequence[i], rank(sequence[i], i))`` in one root-to-leaf walk.
+
+        The position an access walk carries down the tree *is* the rank of
+        the symbol it ends at, so one walk answers both (sdsl's
+        ``inverse_select``) — the LF step of an FM-index needs exactly this.
+        """
         if not 0 <= i < self._n:
             raise QueryError(f"access position {i} out of range [0, {self._n})")
         node = 0
@@ -417,54 +475,55 @@ class WaveletTree:
             bit = bitvector.access(position)
             position = bitvector.rank1(position) if bit else bitvector.rank0(position)
             if self._has_leaf[node, bit]:
-                return int(self._leaf_symbol[node, bit])
+                return int(self._leaf_symbol[node, bit]), position
             child = int(self._child[node, bit])
             if child < 0:
                 raise QueryError(f"bit path at node {node} does not correspond to a symbol")
             node = child
 
     def access_many(self, positions: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`access` over an array of positions.
+        """Vectorized :meth:`access` over an array of positions."""
+        return self.inverse_select_many(positions)[0]
 
-        Positions sharing a node are grouped at every level so the underlying
-        bit vectors see batched ``access_many`` / ``rank1_many`` calls.
+    def inverse_select_many(
+        self, positions: Sequence[int] | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`inverse_select`: ``(symbols, ranks)`` per position.
+
+        Every position descends together: one kernel call per depth reads
+        each position's bit and its rank from the same word, a position
+        whose (node, bit) side is a leaf finishes there, and the rest move to
+        their child nodes.
         """
         pos = np.asarray(positions, dtype=np.int64)
+        symbols = np.zeros(pos.size, dtype=np.int64)
+        ranks = np.zeros(pos.size, dtype=np.int64)
         if pos.size == 0:
-            return np.zeros(0, dtype=np.int64)
+            return symbols, ranks
         if int(pos.min()) < 0 or int(pos.max()) >= self._n:
             raise QueryError(f"access positions out of range [0, {self._n})")
-        out = np.zeros(pos.size, dtype=np.int64)
-        current = pos.copy()
-        nodes = np.zeros(pos.size, dtype=np.int64)
-        pending = np.arange(pos.size)
-        while pending.size:
-            pending_nodes = nodes[pending]
-            next_pending: list[np.ndarray] = []
-            for node in np.unique(pending_nodes).tolist():
-                members = pending[pending_nodes == node]
-                bitvector = self._node_bvs[node]
-                bits = access_many(bitvector, current[members])
-                ones = rank1_many(bitvector, current[members])
-                current[members] = np.where(bits == 1, ones, current[members] - ones)
-                for bit in (0, 1):
-                    side = members[bits == bit]
-                    if side.size == 0:
-                        continue
-                    if self._has_leaf[node, bit]:
-                        out[side] = self._leaf_symbol[node, bit]
-                    else:
-                        child = int(self._child[node, bit])
-                        if child < 0:
-                            raise QueryError(
-                                f"bit path at node {node} does not correspond to a symbol"
-                            )
-                        nodes[side] = child
-                        next_pending.append(side)
-            pending = (
-                np.concatenate(next_pending) if next_pending else np.zeros(0, dtype=np.int64)
-            )
-        return out
+        child = self._child.reshape(-1)
+        has_leaf = self._has_leaf.reshape(-1)
+        leaf_symbol = self._leaf_symbol.reshape(-1)
+        active = np.arange(pos.size)
+        nodes: np.ndarray | int = 0
+        current = pos
+        while active.size:
+            ones, words, within = self._node_rank1(nodes, current)
+            bits = (words & _BITS[within]) != 0
+            current = np.where(bits, ones, current - ones)
+            sides = nodes * 2 + bits
+            leaf = has_leaf[sides]
+            if leaf.any():
+                finished = active[leaf]
+                symbols[finished] = leaf_symbol[sides[leaf]]
+                ranks[finished] = current[leaf]
+                inner = ~leaf
+                active, current, sides = active[inner], current[inner], sides[inner]
+            nodes = child[sides]
+            if nodes.size and int(nodes.min()) < 0:
+                raise QueryError("bit path does not correspond to a symbol")
+        return symbols, ranks
 
     # ------------------------------------------------------------------ #
     # size accounting

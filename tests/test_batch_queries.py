@@ -24,6 +24,7 @@ from repro.wavelet import (
     BalancedWaveletTree,
     HuffmanWaveletTree,
     WaveletMatrix,
+    WaveletTree,
     rrr_bitvector_factory,
 )
 
@@ -99,9 +100,38 @@ def test_select_directories_on_long_vectors(backend):
 WAVELET_STRUCTURES = {
     "hwt-plain": lambda seq: HuffmanWaveletTree(seq),
     "hwt-rrr": lambda seq: HuffmanWaveletTree(seq, rrr_bitvector_factory(31)),
+    "hwt-rrr-15": lambda seq: HuffmanWaveletTree(seq, rrr_bitvector_factory(15)),
+    "hwt-rrr-63": lambda seq: HuffmanWaveletTree(seq, rrr_bitvector_factory(63)),
     "balanced": lambda seq: BalancedWaveletTree(seq),
+    "balanced-rrr-15": lambda seq: BalancedWaveletTree(seq, rrr_bitvector_factory(15)),
     "wm": lambda seq: WaveletMatrix(seq),
 }
+
+
+def boundary_positions(n: int) -> list[int]:
+    """0, ``n`` and every multiple of a block size in use (RRR 15/31/63, 64-bit
+    words), with its neighbours, clipped to ``[0, n]``."""
+    positions = {0, n}
+    for block in (15, 31, 63, 64):
+        for k in range(block, n + 1, block):
+            positions.update((k - 1, k, k + 1))
+    return sorted(p for p in positions if 0 <= p <= n)
+
+
+def assert_kernel_matches_nodes(tree: WaveletTree) -> None:
+    """The flat block directory against each node's own bit vector.
+
+    Every node at 0, at its end and around each block boundary, all in one
+    mixed-node kernel call.
+    """
+    nodes, positions, expected = [], [], []
+    for node, bitvector in enumerate(tree._node_bvs):
+        for p in boundary_positions(len(bitvector)):
+            nodes.append(node)
+            positions.append(p)
+            expected.append(bitvector.rank1(p))
+    ones = tree._node_rank1(np.asarray(nodes), np.asarray(positions))[0]
+    assert ones.tolist() == expected
 
 
 @pytest.mark.parametrize("name", sorted(WAVELET_STRUCTURES))
@@ -130,16 +160,32 @@ def test_wavelet_many_matches_scalar(name, data):
     )
     structure = WAVELET_STRUCTURES[name](np.asarray(sequence, dtype=np.int64))
     n = len(sequence)
+    boundaries = boundary_positions(n)
     rank_positions = data.draw(st.lists(st.integers(0, n), min_size=0, max_size=30))
+    rank_positions += boundaries
     symbol = data.draw(st.integers(0, 16))
     expected = [structure.rank(symbol, p) for p in rank_positions]
     assert structure.rank_many(symbol, rank_positions).tolist() == expected
     access_positions = data.draw(
         st.lists(st.integers(0, n - 1), min_size=0, max_size=30)
     )
-    assert structure.access_many(access_positions).tolist() == [
-        structure.access(p) for p in access_positions
+    access_positions += [p for p in boundaries if p < n]
+    symbols = [structure.access(p) for p in access_positions]
+    assert structure.access_many(access_positions).tolist() == symbols
+    if not isinstance(structure, WaveletTree):
+        return
+    # The fused descent: each position's symbol and that symbol's rank.
+    ranks = [structure.rank(s, p) for s, p in zip(symbols, access_positions)]
+    got_symbols, got_ranks = structure.inverse_select_many(access_positions)
+    assert got_symbols.tolist() == symbols
+    assert got_ranks.tolist() == ranks
+    assert [structure.inverse_select(p) for p in access_positions] == list(zip(symbols, ranks))
+    # rank(s, n) visits every node on s's path at that node's end.
+    alphabet = sorted(set(sequence)) + [-1, 17]
+    assert structure.rank_pairs(alphabet, [n] * len(alphabet)).tolist() == [
+        sequence.count(s) for s in alphabet
     ]
+    assert_kernel_matches_nodes(structure)
 
 
 # --------------------------------------------------------------------- #

@@ -5,11 +5,13 @@ against one shared engine, so the contract under test is twofold: answers
 computed under thread contention are bit-identical to a sequential pass over
 the same queries, and the :class:`~repro.engine.executor.ResultCache` keeps
 its counters, LRU order, and byte accounting internally consistent while
-being hammered from many threads at once.
+being hammered from many threads at once.  The wavelet tree's shared memo of
+decoded RRR blocks is filled from many threads at once too.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,6 +28,7 @@ from repro.engine import (
     build_engine,
 )
 from repro.trajectories import Trajectory
+from repro.wavelet import HuffmanWaveletTree, rrr_bitvector_factory
 
 N_THREADS = 8
 
@@ -104,6 +107,37 @@ def test_threaded_run_many_with_cache_disabled(dataset, query_mix):
         )
     for outcome in outcomes:
         assert outcome == expected
+
+
+def test_wavelet_decode_memo_filled_from_many_threads():
+    """Threads racing to decode the same RRR blocks all read correct words.
+
+    The per-tree memo of decoded blocks is shared and unlocked: every writer
+    stores the same deterministic word, so a reader sees either the
+    not-decoded marker (and decodes the block itself) or the final word.
+    """
+    rng = np.random.default_rng(11)
+    sequence = rng.integers(0, 12, size=6000)
+    rows = rng.integers(0, sequence.size, size=(N_THREADS, 300))
+    expected = [
+        (
+            sequence[chunk].tolist(),
+            [int(np.count_nonzero(sequence[:r] == sequence[r])) for r in chunk],
+        )
+        for chunk in rows
+    ]
+    tree = HuffmanWaveletTree(sequence, rrr_bitvector_factory(15))  # cold memo
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
+            futures = [pool.submit(tree.inverse_select_many, chunk) for chunk in rows]
+            outcomes = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (symbols, ranks), (want_symbols, want_ranks) in zip(outcomes, expected):
+        assert symbols.tolist() == want_symbols
+        assert ranks.tolist() == want_ranks
 
 
 def _assert_cache_consistent(cache: ResultCache) -> None:

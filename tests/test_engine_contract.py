@@ -153,6 +153,26 @@ def test_run_returns_typed_results(engines):
     assert len(extracted.symbols) == 3 and len(extracted.edges) == 3
 
 
+def test_extract_returns_stored_text_order():
+    """Extraction reads the stored text, where every trajectory is reversed.
+
+    On a two-trajectory corpus the only marker-free length-3 window is the
+    reversed first trajectory, from the batched and the scalar path alike.
+    """
+    engine = build_engine(
+        [["a", "b", "c"], ["d", "e"]], EngineConfig(backend="cinct", cache_size=0)
+    )
+    rows = range(engine.length)
+    batched = engine.run_many([ExtractQuery(row=row, length=3) for row in rows])
+    windows = {
+        result.edges for result in batched if not {"#", "$"} & set(result.edges)
+    }
+    assert windows == {("c", "b", "a")}
+    assert [list(result.edges) for result in batched] == [
+        engine.extract(row, 3) for row in rows
+    ]
+
+
 def test_locate_resolves_real_traversals(engines, fleet_dataset):
     # Each match must point at an actual sub-path of the named trajectory.
     engine = engines[REFERENCE]

@@ -256,6 +256,35 @@ class TestBackgroundCompaction:
         assert engine.count(probe) == _oracle().count(probe)
 
 
+class TestCacheFillAcrossIngest:
+    def test_read_overlapping_add_batch_caches_nothing_stale(self, monkeypatch):
+        """A count computed before an ingest must not be served after it.
+
+        The wrapped backend call finishes computing, then an ingest lands
+        (bumping the epoch and emptying the caches) before the executor
+        writes the payload back; that write must be dropped.
+        """
+        path = ["a", "b", "c"]
+        engine = build_engine([path, path, ["c", "d"]], _tail_config())
+        backend = engine._backend
+        original = backend.count_many
+        ingested = []
+
+        def count_then_ingest(*args, **kwargs):
+            counts = original(*args, **kwargs)
+            if not ingested:
+                ingested.append(True)
+                engine.add_batch([path])
+            return counts
+
+        monkeypatch.setattr(backend, "count_many", count_then_ingest)
+        # The overlapping read may answer for the pre-ingest prefix ...
+        assert engine.run(CountQuery(path)).count == 2
+        # ... but every read after the ingest sees it.
+        assert engine.run(CountQuery(path)).count == 3
+        assert engine.count(path) == 3
+
+
 class TestCrashMidCompaction:
     def test_crash_at_swap_keeps_serving_and_loadable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SAVE_CRASH", COMPACTION_SWAP_STAGE)

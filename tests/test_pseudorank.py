@@ -52,6 +52,8 @@ class TestCorrectionTerms:
                 medium_bwt.bwt, edge.target, boundary
             )
             assert corrections.get(edge.context, edge.target) == expected
+            slot = rml.edge_slots([edge.target], [edge.context])[0]
+            assert corrections.by_slot[slot] == expected
 
     def test_size_in_bits(self, machinery):
         graph, _, _, corrections, _ = machinery

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import empirical_entropy_h0
-from repro.core import ETGraph, build_rml, label_bwt, labelled_entropy
+from repro.core import ETGraph, RMLFunction, build_rml, label_bwt, labelled_entropy
 from repro.exceptions import ConstructionError, QueryError
 
 
@@ -42,11 +42,30 @@ class TestRequirement:
             assert len(set(labels.values())) == len(labels)
 
     def test_decode_inverts_label(self, medium_graph):
-        rml = build_rml(medium_graph, strategy="bigram")
-        for context in medium_graph.contexts():
-            for target, label in rml.labels_for_context(context).items():
-                assert rml.decode(label, context) == target
-                assert rml.label(target, context) == label
+        sigma = medium_graph.sigma
+        # Every (context, target) pair over the alphabet plus out-of-range -1/sigma.
+        grid_contexts, grid_targets = np.divmod(np.arange((sigma + 2) ** 2), sigma + 2)
+        grid_contexts, grid_targets = grid_contexts - 1, grid_targets - 1
+        for strategy in ("bigram", "random"):
+            rml = build_rml(medium_graph, strategy=strategy, rng=np.random.default_rng(5))
+            edges = []
+            for context in medium_graph.contexts():
+                for target, label in rml.labels_for_context(context).items():
+                    assert rml.decode(label, context) == target
+                    assert rml.label(target, context) == label
+                    edges.append((context, target, label))
+            # The slot arrays answer the same lookups, every edge at once.
+            contexts, targets, labels = (np.asarray(column) for column in zip(*edges))
+            slots = rml.edge_slots(targets, contexts)
+            assert sorted(slots.tolist()) == list(range(len(rml)))
+            assert np.array_equal(rml.targets[slots], targets)
+            assert np.array_equal(rml.label_slots(labels, contexts), slots)
+            assert np.array_equal(slots - rml.context_offsets[contexts] + 1, labels)
+            # Every bigram without a label comes out dead.
+            dead = rml.edge_slots(grid_targets, grid_contexts) < 0
+            assert dead.tolist() == [
+                not rml.has_label(int(t), int(c)) for c, t in zip(grid_contexts, grid_targets)
+            ]
 
     def test_undefined_transition_raises(self, paper_rml, paper_trajectory_string):
         alphabet = paper_trajectory_string.alphabet
@@ -56,6 +75,16 @@ class TestRequirement:
             paper_rml.label(a, b)
         with pytest.raises(QueryError):
             paper_rml.decode(99, b)
+        assert paper_rml.edge_slots([a], [b]).tolist() == [-1]
+        with pytest.raises(QueryError):
+            paper_rml.label_slots([1, 99], [b, b])
+        with pytest.raises(QueryError):
+            paper_rml.label_slots([0], [b])
+
+    def test_labels_must_be_dense_per_context(self):
+        """Slots assume every context labels its edges 1 .. out-degree."""
+        with pytest.raises(ConstructionError):
+            RMLFunction({(0, 1): 1, (0, 2): 3}, {(0, 1): 1, (0, 3): 2})
 
     def test_max_label_bounded_by_max_out_degree(self, medium_graph):
         rml = build_rml(medium_graph, strategy="bigram")

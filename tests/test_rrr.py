@@ -8,18 +8,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConstructionError, QueryError
-from repro.succinct import BitVector, RRRBitVector, decode_block, encode_block, offset_bits
+from repro.succinct import (
+    BitVector,
+    RRRBitVector,
+    decode_block,
+    decode_blocks,
+    encode_block,
+    offset_bits,
+)
 
 
 class TestBlockCoding:
     @pytest.mark.parametrize("b", [3, 7, 15, 31, 63])
     def test_roundtrip_random_blocks(self, b):
         rng = np.random.default_rng(b)
-        for _ in range(30):
-            bits = [int(x) for x in rng.integers(0, 2, b)]
+        blocks = []
+        for density in np.linspace(0.0, 1.0, 30):
+            bits = [int(x) for x in rng.random(b) < density]
             cls, offset = encode_block(bits, b)
             assert cls == sum(bits)
             assert decode_block(cls, offset, b) == bits
+            blocks.append((cls, offset, bits))
+        # The batch decode into words agrees with the scalar one, bit i = position i.
+        classes, offsets, expected = zip(*blocks)
+        words = decode_blocks(
+            np.asarray(classes, dtype=np.uint8), np.asarray(offsets, dtype=np.uint64), b
+        )
+        assert words.dtype == np.uint64
+        for word, bits in zip(words.tolist(), expected):
+            assert [(word >> i) & 1 for i in range(b)] == bits
+            assert word >> b == 0
 
     @pytest.mark.parametrize("b", [1, 5, 15, 63])
     def test_roundtrip_extreme_blocks(self, b):

@@ -12,10 +12,12 @@ Property coverage for the PR-10 sharing layers:
   post-reload (``save``/``load``);
 * :class:`~repro.engine.executor.IntervalCache` semantics — prefix-resume
   hits, capacity-bounded LRU eviction, the ``interval_cache_size=0`` kill
-  switch, and epoch invalidation on growth (mirroring the result-cache
-  epoch cases in ``test_query_pipeline.py``);
+  switch, epoch invalidation on growth (mirroring the result-cache epoch
+  cases in ``test_query_pipeline.py``) and epoch-pinned views;
 * :meth:`~repro.wavelet.tree.WaveletTree.rank_pairs` agreeing with the
-  scalar ``rank`` walk for mixed-symbol frontiers.
+  scalar ``rank`` walk for mixed-symbol frontiers, and the fused
+  ``inverse_select_many`` descent agreeing with access + rank, on plain and
+  RRR trees and at block boundaries.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.fmindex.trie import PatternTrie, trie_backward_search
 from repro.io import load_index
 from repro.network import grid_network
 from repro.trajectories import TrajectoryDataset, straight_biased_walks
+from repro.wavelet import plain_bitvector_factory, rrr_bitvector_factory
 from repro.wavelet.tree import BalancedWaveletTree, HuffmanWaveletTree
 
 BACKENDS = available_backends()
@@ -257,6 +260,21 @@ class TestIntervalCacheUnit:
         assert stats["invalidations"] == 1
         assert stats["size"] == 0
 
+    def test_pinned_view_ignores_a_moved_epoch(self):
+        """A search pinned to an old epoch neither reads nor writes ranges."""
+        cache = IntervalCache(capacity=8, epoch=0)
+        stale = cache.pinned(0)
+        stale.store((1,), (0, 1))
+        cache.sync_epoch(1)
+        cache.store((2,), (0, 2))
+        stale.store((3,), (0, 3))  # computed against the old index: dropped
+        assert stale.lookup((2,)) == (False, None)
+        assert stale.deepest([(2,)]) == (-1, None)
+        fresh = cache.pinned(1)
+        assert fresh.lookup((2,)) == (True, (0, 2))
+        assert fresh.lookup((3,)) == (False, None)
+        assert cache.stats()["size"] == 1
+
 
 class TestIntervalCacheInEngine:
     def test_extension_resumes_from_cached_prefix(self, fleet_dataset):
@@ -349,12 +367,45 @@ class TestRankPairs:
         rng = np.random.default_rng(0)
         sequence = rng.integers(0, 23, size=3000)
         sequence[rng.random(3000) < 0.5] = 3  # skew so Huffman is non-trivial
-        tree = tree_cls(sequence)
         symbols = rng.integers(-2, 30, size=1500)  # includes absent symbols
         positions = rng.integers(0, 3001, size=1500)
-        got = tree.rank_pairs(symbols, positions)
-        want = [tree.rank(int(s), int(p)) for s, p in zip(symbols, positions)]
-        assert got.tolist() == want
+        # Block boundaries of every factory below, and both ends.
+        edges = np.unique(
+            np.concatenate([np.arange(0, 3001, b) for b in (15, 31, 63, 64)] + [[3000]])
+        )
+        symbols = np.concatenate([symbols, rng.integers(-2, 30, size=edges.size)])
+        positions = np.concatenate([positions, edges])
+        rows = np.concatenate([rng.integers(0, 3000, size=500), edges[edges < 3000]])
+        for block, factory in (
+            (64, plain_bitvector_factory()),
+            (15, rrr_bitvector_factory(15)),
+            (31, rrr_bitvector_factory(31)),
+            (63, rrr_bitvector_factory(63)),
+        ):
+            tree = tree_cls(sequence, factory)
+            got = tree.rank_pairs(symbols, positions)
+            want = [tree.rank(int(s), int(p)) for s, p in zip(symbols, positions)]
+            assert got.tolist() == want
+            # The fused descent agrees with an access followed by a rank.
+            labels, ranks = tree.inverse_select_many(rows)
+            assert labels.tolist() == sequence[rows].tolist()
+            assert ranks.tolist() == [
+                int(np.count_nonzero(sequence[:r] == sequence[r])) for r in rows
+            ]
+            # Four equally frequent symbols: every node's length, and so
+            # every node's end, is a multiple of the block size.
+            aligned = rng.permutation(np.repeat(np.arange(4), block))
+            tree = tree_cls(aligned, factory)
+            grid = np.arange(aligned.size + 1)
+            for symbol in range(4):
+                assert tree.rank_pairs(np.full(grid.size, symbol), grid).tolist() == [
+                    int(np.count_nonzero(aligned[:p] == symbol)) for p in grid
+                ]
+            labels, ranks = tree.inverse_select_many(grid[:-1])
+            assert labels.tolist() == aligned.tolist()
+            assert ranks.tolist() == [
+                int(np.count_nonzero(aligned[:r] == aligned[r])) for r in grid[:-1]
+            ]
 
     def test_matches_rank_many_per_symbol(self):
         rng = np.random.default_rng(1)
