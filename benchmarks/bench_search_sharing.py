@@ -40,7 +40,6 @@ from repro.bench import (
     write_bench_baseline,
 )
 from repro.engine.executor import IntervalCache
-from repro.fmindex.base import batched_backward_search, iter_key_groups
 
 DATASET = "Singapore"
 #: Length of each hot path (travel order); prefixes of these form the batch.
@@ -54,6 +53,65 @@ N_EXTENSIONS = max(N_PATTERNS, 2)
 TRIE_TARGET = 2.0
 WARM_TARGET = 5.0
 REPEATS = 5
+
+
+# --------------------------------------------------------------------------- #
+# The PR-1 grouped batch baseline, verbatim (formerly in repro.fmindex.base,
+# where nothing but this benchmark used it)
+# --------------------------------------------------------------------------- #
+def iter_key_groups(members: np.ndarray, keys: np.ndarray):
+    """Yield ``(key, members_subset)`` for every distinct key, order-stable.
+
+    The grouping idiom shared by the batched searchers: one stable argsort,
+    then run boundaries from the sorted keys.
+    """
+    order = np.argsort(keys, kind="stable")
+    sorted_members = members[order]
+    sorted_keys = keys[order]
+    boundaries = np.concatenate(
+        ([0], np.flatnonzero(np.diff(sorted_keys)) + 1, [sorted_keys.size])
+    )
+    for g in range(boundaries.size - 1):
+        yield int(sorted_keys[boundaries[g]]), sorted_members[boundaries[g] : boundaries[g + 1]]
+
+
+def batched_backward_search(
+    pats: list[list[int]],
+    c_array: np.ndarray,
+    advance,
+) -> list[tuple[int, int] | None]:
+    """Shared driver for running backward search over a whole workload.
+
+    Handles the scaffolding common to Algorithm 1 and Algorithm 3: the padded
+    pattern matrix, the initial ``C[]`` ranges, harvesting patterns as they
+    complete, and pruning empty ranges.  ``advance(step, active, matrix, sp,
+    ep)`` performs one backward-search step for the still-active pattern
+    indices — updating ``sp``/``ep`` in place — and returns the indices that
+    may continue (before the empty-range filter).
+    """
+    m = len(pats)
+    results: list[tuple[int, int] | None] = [None] * m
+    if m == 0:
+        return results
+    lengths = np.fromiter((len(p) for p in pats), dtype=np.int64, count=m)
+    max_len = int(lengths.max())
+    matrix = np.zeros((m, max_len), dtype=np.int64)
+    for i, pattern in enumerate(pats):
+        matrix[i, : len(pattern)] = pattern
+    sp = c_array[matrix[:, 0]].copy()
+    ep = c_array[matrix[:, 0] + 1].copy()
+    active = np.flatnonzero(sp < ep)
+    for step in range(1, max_len + 1):
+        if active.size == 0:
+            break
+        for i in active[lengths[active] == step].tolist():
+            results[i] = (int(sp[i]), int(ep[i]))
+        active = active[lengths[active] > step]
+        if active.size == 0:
+            break
+        active = advance(step, active, matrix, sp, ep)
+        active = active[sp[active] < ep[active]]
+    return results
 
 
 def grouped_count_many(index, patterns) -> list[int]:

@@ -22,7 +22,7 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.datasets import singapore_like
-from repro.engine import EngineConfig, build_engine
+from repro.engine import EngineConfig, TrajectoryEngine
 from repro.service import ServiceConfig, serve_in_background
 
 N_CLIENTS = 24
@@ -41,7 +41,7 @@ def post_query(url: str, document: dict) -> dict:
 def main() -> None:
     bundle = singapore_like(scale=0.1)
     trajectories = [list(t) for t in bundle.symbol_trajectories]
-    engine = build_engine(
+    engine = TrajectoryEngine.build(
         trajectories, EngineConfig(backend="cinct", sa_sample_rate=8)
     )
     print(f"indexed {engine.n_trajectories} trajectories, |T| = {engine.length}")

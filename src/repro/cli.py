@@ -38,9 +38,9 @@ from .bench.harness import format_table
 from .datasets.registry import load_dataset, paper_dataset_names
 from .engine import (
     EngineConfig,
+    TrajectoryEngine,
     available_backends,
     backend_spec,
-    build_engine,
     sample_paths,
 )
 from .exceptions import AlphabetError, ReproError
@@ -135,20 +135,12 @@ def _add_reliability_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _apply_reliability_overrides(engine, args: argparse.Namespace) -> None:
-    """Apply query-time reliability/executor flags to a freshly loaded fleet."""
-    if getattr(args, "shard_executor", None) and hasattr(engine, "configure_executor"):
+def _apply_reliability_overrides(
+    engine: TrajectoryEngine, args: argparse.Namespace
+) -> None:
+    """Apply query-time reliability/executor flags to a freshly loaded engine."""
+    if args.shard_executor:
         engine.configure_executor(args.shard_executor)
-    wants_override = (
-        args.shard_deadline is not None
-        or args.shard_retries is not None
-        or args.degraded_results
-    )
-    if not wants_override:
-        return
-    if not hasattr(engine, "configure_reliability"):
-        # Single-engine index: there is no fan-out to police.
-        return
     engine.configure_reliability(
         deadline=args.shard_deadline,
         retries=args.shard_retries,
@@ -204,7 +196,7 @@ def _command_build(args: argparse.Namespace) -> int:
     name, trajectories = _load_trajectories(args)
     config = _engine_config(args)
     started = time.perf_counter()
-    engine = build_engine(trajectories, config)
+    engine = TrajectoryEngine.build(trajectories, config)
     elapsed = time.perf_counter() - started
     engine.save(args.output)
     print(f"dataset           : {name}")
@@ -251,9 +243,8 @@ def _command_query(args: argparse.Namespace) -> int:
         return 0
     elapsed = (time.perf_counter() - started) * 1e6
     print(f"backend   : {engine.spec.display_name}")
-    num_shards = getattr(engine, "num_shards", 1)
-    if num_shards > 1:
-        print(f"shards    : {num_shards}")
+    if engine.num_shards > 1:
+        print(f"shards    : {engine.num_shards}")
     print(f"path      : {' -> '.join(str(p) for p in path)}")
     print(f"matches   : {count}")
     print(f"query time: {elapsed:.1f} us")
@@ -284,7 +275,7 @@ def _command_query(args: argparse.Namespace) -> int:
             f"health    : {health['status']} "
             f"({health['failing_shards']}/{health['num_shards']} shards failing)"
         )
-        if "policy" in health:
+        if health["num_shards"] > 1:
             print(f"policy    : {health['policy']}")
             print(f"degraded  : {'on' if health['degraded_results'] else 'off'}")
         executor = snapshot["executor"]
@@ -372,7 +363,7 @@ def _command_compare(args: argparse.Namespace) -> int:
             shard_executor=args.shard_executor or "threads",
         )
         started = time.perf_counter()
-        engine = build_engine(trajectories, config)
+        engine = TrajectoryEngine.build(trajectories, config)
         build_seconds = time.perf_counter() - started
         started = time.perf_counter()
         engine.count_many(paths)
@@ -412,9 +403,8 @@ def _command_serve(args: argparse.Namespace) -> int:
     )
     print(f"index     : {args.index}")
     print(f"backend   : {engine.spec.display_name}")
-    num_shards = getattr(engine, "num_shards", 1)
-    if num_shards > 1:
-        print(f"shards    : {num_shards}")
+    if engine.num_shards > 1:
+        print(f"shards    : {engine.num_shards}")
         print(f"executor  : {engine.executor_info()['mode']}")
     if args.mmap:
         print("mmap      : on (index arrays mapped read-only)")
@@ -423,9 +413,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     finally:
         # Stop any shard worker processes deterministically; leaving them to
         # interpreter-exit finalizers races multiprocessing's own exit hook.
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
+        engine.close()
     return 0
 
 

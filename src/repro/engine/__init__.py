@@ -11,11 +11,13 @@
 * the staged query pipeline — normalize (:class:`QueryPlanner` /
   :class:`QueryPlan`), optimize (:func:`optimize_plans`), execute
   (:class:`QueryExecutor` behind the :class:`PlanExecutor` protocol) — with
-  the epoch-invalidated, byte-budgeted :class:`ResultCache` in front of
-  every backend;
-* the sharded fleet layer (:class:`ShardRouter`,
-  :class:`ShardedTrajectoryEngine`, :func:`build_engine`) fanning queries
-  out over shard-routed engines with shard-scoped cache invalidation.
+  the epoch-invalidated, byte-budgeted :class:`ResultCache` (an
+  :class:`EpochLRU`) in front of every backend;
+* sharding (:class:`ShardRouter`, the :class:`ShardExecutor` strategies):
+  with ``num_shards`` > 1 one engine fans queries out over its
+  :class:`EngineShard` cores with shard-scoped cache invalidation.
+  ``ShardedTrajectoryEngine`` and ``build_engine`` are aliases of
+  :class:`TrajectoryEngine` and :meth:`TrajectoryEngine.build`.
 """
 
 # Importing .backends populates the registry as a side effect.
@@ -27,8 +29,15 @@ from .backends import (
     PartitionedBackend,
 )
 from .config import EngineConfig
-from .engine import TrajectoryEngine, sample_paths
+from .engine import (
+    EngineShard,
+    ShardedTrajectoryEngine,
+    TrajectoryEngine,
+    build_engine,
+    sample_paths,
+)
 from .executor import (
+    EpochLRU,
     PlanExecutor,
     PlanGroups,
     QueryExecutor,
@@ -49,9 +58,7 @@ from .sharding import (
     SerialShardExecutor,
     ShardExecutor,
     ShardRouter,
-    ShardedTrajectoryEngine,
     ThreadShardExecutor,
-    build_engine,
 )
 from .workers import ProcessShardExecutor, ShardWorker
 from .queries import (
@@ -72,9 +79,10 @@ from .registry import BackendSpec, available_backends, backend_spec, backend_spe
 
 __all__ = [
     "TrajectoryEngine",
+    "EngineShard",
     "EngineConfig",
     "sample_paths",
-    # sharded fleet layer
+    # sharding
     "ShardRouter",
     "ShardedTrajectoryEngine",
     "build_engine",
@@ -113,6 +121,7 @@ __all__ = [
     "approximate_payload_bytes",
     "optimize_plans",
     "QueryExecutor",
+    "EpochLRU",
     "ResultCache",
     # queries
     "EngineQuery",

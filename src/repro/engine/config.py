@@ -89,12 +89,11 @@ class EngineConfig:
         the result cache: any epoch bump drops every entry.  ``0`` disables
         interval sharing.
     num_shards:
-        Number of fleet shards.  ``1`` (default) builds a plain
-        :class:`~repro.engine.TrajectoryEngine`; larger values make
-        :func:`~repro.engine.sharding.build_engine` construct a
-        :class:`~repro.engine.sharding.ShardedTrajectoryEngine` whose shards
-        each run this config with ``num_shards`` reset to 1.  Trajectories
-        are routed round-robin by global id, stable across growth and reload.
+        Number of shards.  ``1`` (default) is an unsharded
+        :class:`~repro.engine.TrajectoryEngine` that never fans out; larger
+        values build an engine over that many shards, each running this
+        config with ``num_shards`` reset to 1.  Trajectories are routed
+        round-robin by global id, stable across growth and reload.
     shard_workers:
         Bound on the fleet layer's fan-out concurrency (threads for the
         ``threads`` executor, parent-side dispatchers for ``processes``).

@@ -12,12 +12,14 @@ the pipeline:
   execute plans.  The existing :class:`~repro.engine.backends.EngineBackend`
   adapters satisfy it structurally, so every registered backend (and any
   third-party one) is already a plan executor;
-* :class:`ResultCache` — a bounded LRU keyed on canonical plans, invalidated
-  by the engine's monotonically increasing **growth epoch** (bumped by
-  ``add_batch`` / ``consolidate`` and persisted by the index format) and
-  additionally budgeted in approximate payload bytes (``cache_max_bytes``),
-  so high-frequency locate payloads cannot pin unbounded match sets;
-* :class:`IntervalCache` — the second cache tier: an epoch-invalidated LRU
+* :class:`EpochLRU` — the one cache primitive: a locked, bounded LRU
+  invalidated by the owning shard's monotonically increasing **growth
+  epoch** (bumped by ``add_batch`` / ``consolidate`` and persisted by the
+  index format), optionally budgeted in approximate bytes;
+* :class:`ResultCache` — an :class:`EpochLRU` keyed on canonical plans and
+  weighed in payload bytes (``cache_max_bytes``), so high-frequency locate
+  payloads cannot pin unbounded match sets;
+* :class:`IntervalCache` — the second cache tier: an :class:`EpochLRU`
   mapping encoded pattern-prefix tuples to backward-search suffix ranges
   (``(sp, ep)``, or ``None`` for a prefix that never occurs).  Where the
   result cache short-circuits *whole plans*, the interval cache accelerates
@@ -33,10 +35,10 @@ the pipeline:
   :meth:`~repro.engine.plan.QueryPlan.count_twin` (same batch, then cache)
   before falling back to the backend's early-exit ``contains`` path.
 
-On a sharded fleet (:mod:`repro.engine.sharding`) each shard owns one engine
-and therefore one cache and one growth epoch: growing a shard invalidates
-*that shard's* entries only, so answers cached for untouched shards survive
-`add_batch` on their neighbours.
+Each shard (:class:`~repro.engine.engine.EngineShard`) owns one executor and
+therefore one pair of caches and one growth epoch: growing a shard
+invalidates *that shard's* entries only, so answers cached for untouched
+shards survive ``add_batch`` on their neighbours.
 
 Cached payloads are plain values (occurrence counts, resolved match tuples,
 extracted symbol tuples), never result objects: the engine wraps them back
@@ -49,7 +51,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Hashable, Iterable, Protocol, Sequence, runtime_checkable
 
 from ..queries.strict_path import StrictPathMatch
 from .plan import KIND_CONTAINS, KIND_COUNT, KIND_EXTRACT, KIND_LOCATE, QueryPlan
@@ -141,7 +143,7 @@ def optimize_plans(plans: Iterable[QueryPlan]) -> PlanGroups:
 
 
 # --------------------------------------------------------------------------- #
-# result cache
+# caches
 # --------------------------------------------------------------------------- #
 _MISS = object()
 
@@ -172,49 +174,44 @@ def approximate_payload_bytes(payload: object) -> int:
     return _TUPLE_BASE
 
 
-class ResultCache:
-    """Bounded LRU of executed plan payloads, invalidated by growth epoch.
+class EpochLRU:
+    """Bounded LRU of computed values, invalidated by the engine's growth epoch.
 
-    Keys are canonical :class:`~repro.engine.plan.QueryPlan` records; values
-    are the executed payloads (ints, bools, match tuples, symbol tuples).
-    The cache belongs to one engine and tracks that engine's growth epoch:
-    whenever the epoch it is told about differs from the one its entries were
-    computed under, every entry is dropped (the index contents changed, so
-    every cached answer is potentially stale).  On a sharded fleet each shard
-    engine owns its own cache, so this is exactly the shard-scoped
-    invalidation unit.
-
-    Two bounds apply together: ``capacity`` limits the *number* of cached
-    plans, ``max_bytes`` (when given) limits the approximate *payload bytes*
-    (see :func:`approximate_payload_bytes`) — locate payloads are full match
-    tuples, so a count bound alone lets high-frequency paths pin big result
-    sets.  A single payload larger than the whole byte budget is never
-    stored.
-
-    ``capacity <= 0`` disables caching entirely (every lookup is a miss and
-    nothing is stored), which is also what :meth:`disable` switches to at
-    runtime — the CLI's ``--no-cache``.
+    The primitive under both engine caches.  One cache belongs to one shard
+    and tracks that shard's growth epoch: whenever :meth:`sync_epoch` is told
+    about a different epoch, every entry is dropped (the index changed, so
+    every cached value is potentially stale).  ``capacity`` bounds the number
+    of entries; ``capacity <= 0`` disables the cache, which is also what
+    :meth:`disable` switches to at runtime.  An optional ``weigher`` sizes
+    each value in approximate bytes, and ``max_bytes`` (when given) then
+    bounds their total as well — a single value larger than the whole budget
+    is never stored.
 
     **Thread safety.**  Every public method takes one internal lock, so
-    concurrent ``run_many`` callers — the serving tier's micro-batch worker
-    threads, or any threads sharing one engine — can hit the cache together:
-    the hit/miss/eviction counters stay consistent, and LRU mutation
-    (``move_to_end`` racing ``popitem``) cannot corrupt the ordered dict.
-    The lookup→execute→store sequence of one plan is *not* atomic as a
-    whole: two threads may both miss the same plan and both execute it.
-    That is benign — payloads are deterministic values, so the second
-    :meth:`put` overwrites with an identical payload — and deliberately
-    cheap: holding a lock across backend execution would serialize callers.
-    What must not happen is a payload computed before a growth step landing
-    after it, so :meth:`put` takes the epoch its payload was computed under
-    and drops the write, under the lock, once the cache has moved past it.
+    concurrent callers (the serving tier's worker threads) keep the counters,
+    LRU order and byte accounting consistent.  A lookup → compute → store
+    sequence is *not* atomic as a whole: two threads may both miss and both
+    compute.  That is benign — values are deterministic, so the second store
+    writes an identical value — and deliberately cheap: holding the lock
+    across backend execution would serialize callers.  What must not happen
+    is a value computed before a growth step landing after it, so
+    :meth:`get` and :meth:`put` take the epoch their caller started under
+    and, under the lock, miss or drop the write once the cache has moved on.
     """
 
-    def __init__(self, capacity: int, epoch: int = 0, max_bytes: int | None = None):
+    def __init__(
+        self,
+        capacity: int,
+        epoch: int = 0,
+        *,
+        weigher: Callable[[object], int] | None = None,
+        max_bytes: int | None = None,
+    ):
         self._capacity = max(int(capacity), 0)
+        self._weigher = weigher
         self._max_bytes = None if max_bytes is None else max(int(max_bytes), 0)
-        self._entries: "OrderedDict[QueryPlan, object]" = OrderedDict()
-        self._sizes: dict[QueryPlan, int] = {}
+        self._entries: OrderedDict = OrderedDict()
+        self._sizes: dict = {}
         self._payload_bytes = 0
         self._epoch = int(epoch)
         self._lock = threading.Lock()
@@ -222,21 +219,6 @@ class ResultCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of cached plans (0 when disabled)."""
-        return self._capacity
-
-    @property
-    def max_bytes(self) -> int | None:
-        """Approximate payload-byte budget (``None`` when unbounded)."""
-        return self._max_bytes
-
-    @property
-    def payload_bytes(self) -> int:
-        """Approximate bytes currently held across all cached payloads."""
-        return self._payload_bytes
 
     @property
     def enabled(self) -> bool:
@@ -247,10 +229,6 @@ class ResultCache:
     def epoch(self) -> int:
         """Growth epoch the cached entries were computed under."""
         return self._epoch
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
     def sync_epoch(self, epoch: int) -> None:
         """Adopt the engine's growth epoch, dropping entries if it moved."""
@@ -263,58 +241,51 @@ class ResultCache:
                 self._drop_entries()
             self._epoch = epoch
 
-    def get(self, plan: QueryPlan) -> object:
-        """Cached payload for a canonical plan, or the module-private miss."""
-        with self._lock:
-            payload = self._entries.get(plan, _MISS)
-            if payload is _MISS:
-                self.misses += 1
-                return _MISS
-            self._entries.move_to_end(plan)
-            self.hits += 1
-            return payload
+    def get(self, key: Hashable, epoch: int | None = None, *, count_miss: bool = True) -> object:
+        """The cached value for ``key``, or the module-private miss marker.
 
-    def peek(self, plan: QueryPlan) -> object:
-        """Like :meth:`get`, but an absent key does not count as a miss.
-
-        Used for cross-plan sharing probes (a contains plan consulting its
-        count twin): finding the twin is a real hit, not finding it should
-        not distort the miss counter of the plan actually being executed.
+        A probe made for an epoch the cache has left misses.  With
+        ``count_miss=False`` an absent key leaves the miss counter alone
+        (cross-plan sharing probes, where not finding the key is no miss).
         """
         with self._lock:
-            payload = self._entries.get(plan, _MISS)
-            if payload is _MISS:
+            if epoch is not None and epoch != self._epoch:
+                value = _MISS
+            else:
+                value = self._entries.get(key, _MISS)
+            if value is _MISS:
+                if count_miss:
+                    self.misses += 1
                 return _MISS
-            self._entries.move_to_end(plan)
+            self._entries.move_to_end(key)
             self.hits += 1
-            return payload
+            return value
 
-    def put(self, plan: QueryPlan, payload: object, epoch: int | None = None) -> None:
-        """Store one executed payload, evicting the least recently used.
+    def put(self, key: Hashable, value: object, epoch: int | None = None) -> None:
+        """Store one computed value, evicting the least recently used.
 
-        ``epoch`` is the growth epoch the payload was computed under; a
-        payload from an epoch the cache has already left is stale and is
-        dropped.  Eviction keeps going until both bounds hold: at most
-        ``capacity`` entries and (when ``max_bytes`` is set) at most
-        ``max_bytes`` approximate payload bytes.
+        ``epoch`` is the growth epoch the value was computed under; a value
+        from an epoch the cache has already left is stale and is dropped.
+        Eviction keeps going until every bound holds.
         """
         with self._lock:
             if self._capacity <= 0 or (epoch is not None and epoch != self._epoch):
                 return
-            nbytes = approximate_payload_bytes(payload)
-            if self._max_bytes is not None and nbytes > self._max_bytes:
-                return  # would evict everything and still not fit
-            if plan in self._entries:
-                self._payload_bytes -= self._sizes[plan]
-                self._entries.move_to_end(plan)
-            self._entries[plan] = payload
-            self._sizes[plan] = nbytes
-            self._payload_bytes += nbytes
+            if self._weigher is not None:
+                nbytes = self._weigher(value)
+                if self._max_bytes is not None and nbytes > self._max_bytes:
+                    return  # would evict everything and still not fit
+                self._payload_bytes += nbytes - self._sizes.get(key, 0)
+                self._sizes[key] = nbytes
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            self._entries[key] = value
             while len(self._entries) > self._capacity or (
                 self._max_bytes is not None and self._payload_bytes > self._max_bytes
             ):
                 evicted, _ = self._entries.popitem(last=False)
-                self._payload_bytes -= self._sizes.pop(evicted)
+                if self._weigher is not None:
+                    self._payload_bytes -= self._sizes.pop(evicted)
                 self.evictions += 1
 
     def clear(self) -> None:
@@ -323,7 +294,7 @@ class ResultCache:
             self._drop_entries()
 
     def disable(self) -> None:
-        """Turn the cache off for the rest of this engine's lifetime."""
+        """Turn the cache off for the rest of its owner's lifetime."""
         with self._lock:
             self._capacity = 0
             self._drop_entries()
@@ -337,7 +308,7 @@ class ResultCache:
     def __getstate__(self) -> dict[str, object]:
         """Picklable snapshot (the lock is recreated on unpickle).
 
-        Shard engines travel to worker processes whole under
+        Shards travel to worker processes whole under
         ``shard_executor="processes"`` with the ``spawn`` start method; the
         cache ships its entries so a freshly synced worker starts warm.
         """
@@ -351,51 +322,74 @@ class ResultCache:
         self._lock = threading.Lock()
 
     def stats(self) -> dict[str, int | bool]:
-        """Counters for observability (CLI ``query --verbose``, benchmarks)."""
+        """Counters for observability (``query --verbose``, ``/stats``).
+
+        Weighed caches also report ``payload_bytes`` and ``max_bytes``
+        (0 when unbounded).
+        """
         with self._lock:
-            return {
+            stats: dict[str, int | bool] = {
                 "enabled": self._capacity > 0,
                 "capacity": self._capacity,
                 "size": len(self._entries),
-                "payload_bytes": self._payload_bytes,
-                "max_bytes": self._max_bytes if self._max_bytes is not None else 0,
-                "epoch": self._epoch,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "invalidations": self.invalidations,
             }
+            if self._weigher is not None:
+                stats["payload_bytes"] = self._payload_bytes
+                stats["max_bytes"] = self._max_bytes or 0
+            stats.update(
+                epoch=self._epoch,
+                hits=self.hits,
+                misses=self.misses,
+                evictions=self.evictions,
+                invalidations=self.invalidations,
+            )
+            return stats
 
 
-# --------------------------------------------------------------------------- #
-# interval cache (second tier)
-# --------------------------------------------------------------------------- #
+class ResultCache(EpochLRU):
+    """Executed plan payloads keyed on canonical plans.
+
+    Keys are canonical :class:`~repro.engine.plan.QueryPlan` records; values
+    are the executed payloads (ints, bools, match tuples, symbol tuples).
+    Two bounds apply together: ``capacity`` limits the *number* of cached
+    plans, ``max_bytes`` (when given) the approximate *payload bytes* (see
+    :func:`approximate_payload_bytes`) — locate payloads are full match
+    tuples, so a count bound alone lets high-frequency paths pin big result
+    sets.
+    """
+
+    def __init__(self, capacity: int, epoch: int = 0, max_bytes: int | None = None):
+        super().__init__(
+            capacity, epoch, weigher=approximate_payload_bytes, max_bytes=max_bytes
+        )
+
+    def peek(self, plan: QueryPlan) -> object:
+        """Like :meth:`get`, but an absent key does not count as a miss.
+
+        Used for cross-plan sharing probes (a contains plan consulting its
+        count twin): finding the twin is a real hit, not finding it should
+        not distort the miss counter of the plan actually being executed.
+        """
+        return self.get(plan, count_miss=False)
+
+
 #: An interval-cache key: an encoded pattern-prefix tuple, optionally
 #: prefixed with a tier id by the partitioned backend's per-partition views.
 IntervalKey = tuple[int, ...]
 
-#: A cached search state: ``(sp, ep)`` for a live prefix, ``None`` for a
-#: prefix proven absent from the index.
-Interval = "tuple[int, int] | None"
 
-
-class IntervalCache:
-    """Epoch-invalidated LRU of encoded pattern-prefixes → suffix ranges.
+class IntervalCache(EpochLRU):
+    """Encoded pattern-prefixes → backward-search suffix ranges.
 
     The second cache tier of the query pipeline.  Keys are tuples of encoded
     symbols — the travel-order prefix a backward search has consumed so far
     (the partitioned backend additionally prefixes a tier id per compressed
     partition).  Values are ``(sp, ep)`` suffix ranges, or ``None`` for a
     prefix that provably never occurs, so repeated misses are as warm as
-    repeated hits.
+    repeated hits.  A suffix range is a position in the BWT, so *any* growth
+    invalidates every entry.
 
-    Like the result cache, one interval cache belongs to one engine (one per
-    shard on a sharded fleet) and is dropped whole whenever the engine's
-    growth epoch moves — a suffix range is a position in the BWT, so *any*
-    growth invalidates every entry.  ``capacity <= 0`` disables the cache
-    (that is ``EngineConfig.interval_cache_size = 0`` or :meth:`disable`).
-
-    Three lookup surfaces serve the two consumers:
+    Three surfaces serve the two consumers:
 
     * :meth:`lookup` — exact-key probe used by the trie executor for every
       trie node: an adopted node is a hit (no rank work), a computed node is
@@ -403,80 +397,27 @@ class IntervalCache:
     * :meth:`deepest` — longest-first ancestor probe used by the scalar
       backward search; the whole probe counts one hit *or* one miss, so a
       single query never distorts the counters by its pattern length;
-    * :meth:`store` — unconditional insert (never counted), performed for
-      every freshly computed search state.
+    * :meth:`store` — insert (never counted), performed for every freshly
+      computed search state.
 
-    Thread safety matches :class:`ResultCache`: one lock around every public
-    method; lookup→search→store of one prefix is deliberately not atomic
-    (ranges are deterministic, so racing writers store identical values).
-    Each surface takes an optional ``epoch``: a call made for a search that
-    started under an epoch the cache has since left misses and stores
-    nothing, because its ranges belong to the old index.  :meth:`pinned`
-    hands backends a view that passes one execution's epoch on every call.
+    A disabled cache neither counts nor stores.  :meth:`pinned` hands
+    backends a view that passes one execution's epoch on every call.
     """
-
-    def __init__(self, capacity: int, epoch: int = 0):
-        self._capacity = max(int(capacity), 0)
-        self._entries: "OrderedDict[IntervalKey, tuple[int, int] | None]" = OrderedDict()
-        self._epoch = int(epoch)
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of cached prefixes (0 when disabled)."""
-        return self._capacity
-
-    @property
-    def enabled(self) -> bool:
-        """True when the cache stores anything at all."""
-        return self._capacity > 0
-
-    @property
-    def epoch(self) -> int:
-        """Growth epoch the cached ranges were computed under."""
-        return self._epoch
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def sync_epoch(self, epoch: int) -> None:
-        """Adopt the engine's growth epoch, dropping entries if it moved."""
-        epoch = int(epoch)
-        with self._lock:
-            if epoch == self._epoch:
-                return
-            if self._entries:
-                self.invalidations += 1
-                self._entries.clear()
-            self._epoch = epoch
 
     def pinned(self, epoch: int) -> "PinnedIntervalCache":
         """This cache as seen by a search that started under ``epoch``."""
         return PinnedIntervalCache(self, epoch)
 
-    def _stale(self, epoch: int | None) -> bool:
-        # Callers hold self._lock.
-        return epoch is not None and epoch != self._epoch
-
     def lookup(
         self, key: IntervalKey, epoch: int | None = None
     ) -> tuple[bool, "tuple[int, int] | None"]:
         """``(found, interval)`` for one prefix key; counts a hit or a miss."""
-        with self._lock:
-            if self._capacity <= 0:
-                return False, None
-            interval = _MISS if self._stale(epoch) else self._entries.get(key, _MISS)
-            if interval is _MISS:
-                self.misses += 1
-                return False, None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return True, interval  # type: ignore[return-value]
+        if self._capacity <= 0:
+            return False, None
+        interval = self.get(key, epoch)
+        if interval is _MISS:
+            return False, None
+        return True, interval  # type: ignore[return-value]
 
     def deepest(
         self, keys: Sequence[IntervalKey], epoch: int | None = None
@@ -490,7 +431,8 @@ class IntervalCache:
         with self._lock:
             if self._capacity <= 0:
                 return -1, None
-            for index, key in enumerate(() if self._stale(epoch) else keys):
+            stale = epoch is not None and epoch != self._epoch
+            for index, key in enumerate(() if stale else keys):
                 interval = self._entries.get(key, _MISS)
                 if interval is _MISS:
                     continue
@@ -504,57 +446,7 @@ class IntervalCache:
         self, key: IntervalKey, interval: "tuple[int, int] | None", epoch: int | None = None
     ) -> None:
         """Remember one computed search state (LRU-evicting; never counted)."""
-        with self._lock:
-            if self._capacity <= 0 or self._stale(epoch):
-                return
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = interval
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
-
-    def disable(self) -> None:
-        """Turn the cache off for the rest of this engine's lifetime."""
-        with self._lock:
-            self._capacity = 0
-            self._entries.clear()
-
-    def __getstate__(self) -> dict[str, object]:
-        """Picklable snapshot (the lock is recreated on unpickle).
-
-        Shard engines ship whole to worker processes under
-        ``shard_executor="processes"`` with the ``spawn`` start method; the
-        interval cache travels with them so freshly synced workers resume
-        warm backward searches immediately.
-        """
-        with self._lock:
-            state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    def stats(self) -> dict[str, int | bool]:
-        """Counters for observability (``query --verbose``, ``/stats``)."""
-        with self._lock:
-            return {
-                "enabled": self._capacity > 0,
-                "capacity": self._capacity,
-                "size": len(self._entries),
-                "epoch": self._epoch,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "invalidations": self.invalidations,
-            }
+        self.put(key, interval, epoch)
 
 
 class PinnedIntervalCache:
@@ -612,16 +504,6 @@ class QueryExecutor:
         self._share_intervals = bool(
             getattr(backend, "supports_interval_sharing", False)
         )
-
-    @property
-    def cache(self) -> ResultCache:
-        """The epoch-invalidated LRU in front of the backend."""
-        return self._cache
-
-    @property
-    def interval_cache(self) -> IntervalCache | None:
-        """The suffix-range interval cache threaded into the backend."""
-        return self._interval_cache
 
     def _interval_kwargs(self) -> dict[str, PinnedIntervalCache]:
         """Backend kwargs carrying the interval cache, when it applies.
@@ -755,6 +637,7 @@ __all__ = [
     "PlanGroups",
     "approximate_payload_bytes",
     "optimize_plans",
+    "EpochLRU",
     "IntervalCache",
     "PinnedIntervalCache",
     "ResultCache",

@@ -29,12 +29,12 @@ shares its locate plan with ``LocateQuery`` — the window is carried on the
 plan but stripped from the cache key (:meth:`QueryPlan.canonical`), so
 time-window variations of one path hit one cached locate result.
 
-Plans also carry a **shard-routing hint** (:attr:`QueryPlan.shard`): the
-sharded fleet layer (:mod:`repro.engine.sharding`) plans every query against
-the whole fleet first, then stamps single-shard-routable plans (extraction by
-global BWT row) with the shard that owns them; fan-out plans keep the
-:data:`ALL_SHARDS` default.  Unsharded engines never set the hint, so their
-cache keys are unchanged.
+Plans also carry a **shard-routing hint** (:attr:`QueryPlan.shard`): an
+engine with more than one shard plans every query against the whole fleet
+first, then stamps single-shard-routable plans (extraction by global BWT row)
+with the shard that owns them; fan-out plans keep the :data:`ALL_SHARDS`
+default.  Shards plan their own sub-batches without the hint, so their cache
+keys are unchanged.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Shard-level reliability: deadlines, retries, failure classes, health.
 
-The sharded fan-out (:meth:`repro.engine.ShardedTrajectoryEngine.run_many`)
+The sharded fan-out (:meth:`repro.engine.TrajectoryEngine.run_many`)
 used to consume ``future.result()`` raw: one failing shard surfaced a bare
 backend traceback mid-batch with no shard context, no bound on how long a
 hung shard could stall the whole batch, and no second chance for transient

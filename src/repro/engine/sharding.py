@@ -1,94 +1,46 @@
-"""Sharded fleet layer: shard-routed engines with concurrent fan-out/merge.
+"""Sharding: trajectory routing and the fan-out executors.
 
-One :class:`~repro.engine.TrajectoryEngine` owning an entire fleet stops
-scaling long before "millions of users": every ``add_batch`` invalidates one
-global result cache, and nothing executes across more than one index at a
-time.  This module shards the fleet instead:
+A :class:`~repro.engine.TrajectoryEngine` with ``num_shards`` > 1 spreads its
+trajectories over N :class:`~repro.engine.engine.EngineShard` cores, so
+``add_batch`` invalidates only the caches of the shards that grow and a
+batch can execute on several indexes at once.  This module holds the two
+pieces that fleet relies on:
 
 * :class:`ShardRouter` — a deterministic round-robin trajectory→shard
   assignment.  Global trajectory ``g`` lives on shard ``g % num_shards`` as
   that shard's local trajectory ``g // num_shards``; the mapping is a pure
   function of the global id, so it is stable across growth (arrivals keep
   their global order) and across save/reload (ids persist with the shards).
-* :class:`ShardedTrajectoryEngine` — owns ``num_shards`` inner
-  :class:`~repro.engine.TrajectoryEngine` shards behind the same query
-  surface.  Every query is planned once against the *whole* fleet (a
-  :class:`~repro.engine.plan.QueryPlanner` over a fleet view: global
-  alphabet, total length, total trajectory count), so validation raises the
-  exact errors an unsharded engine would; fan-out queries then run on every
-  eligible shard through the configured :class:`ShardExecutor` strategy
-  (``EngineConfig.shard_executor``: a bounded thread pool by default, a pool
-  of long-lived shard worker *processes* via
-  :mod:`repro.engine.workers`, or inline serial execution — all bounded by
-  ``EngineConfig.shard_workers``), and single-shard plans (extraction by
-  global BWT row) are routed straight to the owning shard via the plan's
-  shard hint.
-* merge rules that keep answers **bit-identical** to an unsharded engine on
-  the same fleet: counts sum, contains ORs, locate / strict-path matches are
-  remapped from local to global trajectory ids and re-sorted into the
-  canonical ``(trajectory, start, end)`` order, extraction payloads come back
-  from the routed shard unchanged.
+* :class:`ShardExecutor` — the strategy that runs the per-shard sub-batches
+  of one fan-out (``EngineConfig.shard_executor``): a bounded thread pool by
+  default, inline serial execution, or long-lived shard worker *processes*
+  via :mod:`repro.engine.workers` — all bounded by
+  ``EngineConfig.shard_workers``.
 
-Because each shard is a full engine, each shard owns its own result cache and
-growth epoch: ``add_batch`` bumps only the shards that actually received
-trajectories, so cached answers for untouched shards survive growth — the
-shard-scoped cache invalidation the monolithic engine could not offer.
-
-Extraction rows on a sharded fleet address the **concatenation of the
-per-shard BWT row spaces** (shard 0's rows first, then shard 1's, ...); with
-``num_shards=1`` this coincides with the unsharded row space.
+The engine plans each batch once against the whole fleet, routes it with
+the router, runs it through the executor and merges the answers
+bit-identically to one index over the same fleet: counts sum, contains ORs,
+locate / strict-path matches are remapped from local to global trajectory
+ids and re-sorted into the canonical ``(trajectory, start, end)`` order.
+Extraction rows address the **concatenation of the per-shard BWT row
+spaces** (shard 0's rows first, then shard 1's, ...); with ``num_shards=1``
+this coincides with the unsharded row space.
 """
 
 from __future__ import annotations
 
-import random
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
-from itertools import accumulate
-import os
 import weakref
-from typing import Hashable, Iterable, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING, Sequence
 
-from ..exceptions import (
-    EMPTY_INDEX_MESSAGE,
-    ConstructionError,
-    QueryError,
-    ShardExecutionError,
-)
-from ..queries.strict_path import StrictPathMatch
+from ..exceptions import ConstructionError, ShardExecutionError
 from ..reliability import faults
-from ..strings.alphabet import Alphabet
-from ..trajectories.model import Trajectory, TrajectoryDataset
-from .config import EngineConfig
-from .engine import (
-    ScalarQueryAPI,
-    TrajectoryEngine,
-    _normalise_trajectories,
-    validate_monotonic_timestamps,
-)
-from .plan import KIND_EXTRACT, QueryPlan, QueryPlanner
-from .reliability import (
-    ShardHealth,
-    ShardPolicy,
-    attempt_from_error,
-    run_shard_attempts,
-)
-from .queries import (
-    ContainsQuery,
-    ContainsResult,
-    CountQuery,
-    CountResult,
-    EngineQuery,
-    EngineResult,
-    ExtractQuery,
-    ExtractResult,
-    LocateQuery,
-    LocateResult,
-    StrictPathQuery,
-    StrictPathResult,
-)
-from .registry import BackendSpec, backend_spec
+from .queries import EngineQuery, EngineResult
+from .reliability import run_shard_attempts
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .engine import TrajectoryEngine
 
 
 class ShardRouter:
@@ -141,80 +93,15 @@ class ShardRouter:
         return f"ShardRouter(num_shards={self._num_shards})"
 
 
-class _FleetView:
-    """Planner-facing view of the whole sharded fleet.
-
-    Exposes exactly the surface :class:`~repro.engine.plan.QueryPlanner`
-    consults — global alphabet, total trajectory count, total string length —
-    so the sharded engine runs the *same* normalize stage (same checks, same
-    canonical messages, same order) as an unsharded engine over the union of
-    the shards.
-    """
-
-    def __init__(self, engine: "ShardedTrajectoryEngine"):
-        self._engine = engine
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self._engine.alphabet
-
-    @property
-    def n_trajectories(self) -> int:
-        return self._engine.n_trajectories
-
-    @property
-    def length(self) -> int:
-        return self._engine.length
-
-
-class _FleetTimestampView:
-    """Read-only timestamp-store view over every shard's store.
-
-    Serves the planner (the ``any_timestamped`` window check) and callers of
-    the engine-level ``timestamp_store`` surface (e.g. the CLI's build
-    summary) with fleet-wide aggregates.
-    """
-
-    def __init__(self, engine: "ShardedTrajectoryEngine"):
-        self._engine = engine
-
-    @property
-    def any_timestamped(self) -> bool:
-        return any(
-            shard.timestamp_store.any_timestamped
-            for shard in self._engine.shards
-            if shard is not None
-        )
-
-    @property
-    def n_timestamped(self) -> int:
-        return sum(
-            shard.timestamp_store.n_timestamped
-            for shard in self._engine.shards
-            if shard is not None
-        )
-
-    @property
-    def n_trajectories(self) -> int:
-        return sum(
-            shard.timestamp_store.n_trajectories
-            for shard in self._engine.shards
-            if shard is not None
-        )
-
-    def size_in_bits(self) -> int:
-        return self._engine.temporal_size_in_bits()
-
-
 # --------------------------------------------------------------------------- #
 # fan-out executors
 # --------------------------------------------------------------------------- #
 class ShardExecutor:
     """Strategy surface behind the fleet fan-out (``EngineConfig.shard_executor``).
 
-    One executor belongs to one :class:`ShardedTrajectoryEngine` and turns a
-    list of ``(shard_id, sub-batch)`` jobs into per-shard results, each job
-    running under the engine's live
+    One executor belongs to one :class:`~repro.engine.TrajectoryEngine` and
+    turns a list of ``(shard_id, sub-batch)`` jobs into per-shard results,
+    each job running under the engine's live
     :class:`~repro.engine.reliability.ShardPolicy` (deadline, bounded
     retries).  Three implementations share the surface:
 
@@ -241,7 +128,7 @@ class ShardExecutor:
     #: Whether jobs may run concurrently (the serial executor turns this off).
     concurrent = True
 
-    def __init__(self, engine: "ShardedTrajectoryEngine"):
+    def __init__(self, engine: "TrajectoryEngine"):
         self._engine = engine
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
@@ -366,850 +253,19 @@ class ThreadShardExecutor(ShardExecutor):
     mode = "threads"
 
 
-class ShardedTrajectoryEngine(ScalarQueryAPI):
-    """N shard-routed :class:`TrajectoryEngine` instances behind one facade.
-
-    Construction mirrors the unsharded engine (:meth:`build` / :meth:`load` /
-    :meth:`save`), queries mirror it too (scalar helpers, :meth:`run`,
-    :meth:`run_many`), and every answer is bit-identical to an unsharded
-    engine built over the same fleet in the same order — except extraction
-    row addressing, which concatenates the per-shard row spaces (see the
-    module docstring).
-
-    Shards for backends that cannot grow are only materialised when the
-    router assigns them at least one trajectory; growth-capable backends get
-    a (possibly empty) engine per shard up front so ``add_batch`` can route
-    into any of them.
-    """
-
-    def __init__(
-        self,
-        shards: Sequence[TrajectoryEngine | None],
-        config: EngineConfig,
-        alphabet: Alphabet,
-    ):
-        if len(shards) != config.num_shards:
-            raise ConstructionError(
-                f"config names {config.num_shards} shards but {len(shards)} were supplied"
-            )
-        self._shards: list[TrajectoryEngine | None] = list(shards)
-        self._config = config
-        self._spec = backend_spec(config.backend)
-        self._router = ShardRouter(config.num_shards)
-        self._alphabet = alphabet
-        self._store_view = _FleetTimestampView(self)
-        self._planner = QueryPlanner(
-            _FleetView(self),  # type: ignore[arg-type]
-            self._spec,
-            self._store_view,  # type: ignore[arg-type]
-        )
-        self._executor_impl: ShardExecutor | None = None
-        self._executor_lock = threading.Lock()
-        self._policy = ShardPolicy.from_config(config)
-        self._health = ShardHealth(config.num_shards)
-        self._rng = random.Random()  # backoff jitter only; never affects answers
-
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def build(
-        cls,
-        trajectories: TrajectoryDataset | Iterable[Trajectory | Sequence[Hashable]],
-        config: EngineConfig | None = None,
-    ) -> "ShardedTrajectoryEngine":
-        """Build a sharded fleet from raw trajectories and a config."""
-        config = config or EngineConfig()
-        spec = backend_spec(config.backend)
-        edges, timestamps = _normalise_trajectories(trajectories)
-        if not edges and not spec.supports_growth:
-            raise ConstructionError(
-                "cannot build a trajectory string from zero trajectories"
-            )
-        # Global validation first so error messages carry global ids.
-        validate_monotonic_timestamps(timestamps, first_id=0)
-        alphabet = Alphabet.from_trajectories(edges)
-        router = ShardRouter(config.num_shards)
-        assigned = router.split(list(zip(edges, timestamps)), first_global_id=0)
-        inner_config = replace(config, num_shards=1)
-        shards: list[TrajectoryEngine | None] = []
-        for batch in assigned:
-            if not batch and not spec.supports_growth:
-                shards.append(None)
-                continue
-            shards.append(
-                TrajectoryEngine.build(
-                    [Trajectory(edges=e, timestamps=t) for e, t in batch],
-                    inner_config,
-                )
-            )
-        return cls(shards, config, alphabet)
-
-    @classmethod
-    def load(cls, directory, *, mmap: bool = False) -> "ShardedTrajectoryEngine":
-        """Reload a sharded fleet persisted with :meth:`save`.
-
-        ``mmap=True`` maps each shard's immutable arrays read-only from its
-        archives (see :func:`repro.io.load_index`) — with the process
-        executor, shard workers forked from this parent then share one
-        physical copy of the index pages.
-        """
-        from ..io.index_io import load_index
-
-        engine = load_index(directory, mmap=mmap)
-        if not isinstance(engine, cls):
-            raise ConstructionError(
-                f"{directory} holds an unsharded engine; load it with "
-                "TrajectoryEngine.load (or repro.io.load_index)"
-            )
-        return engine
-
-    def save(self, directory) -> None:
-        """Persist the fleet: a shard manifest plus one subdirectory per shard."""
-        from ..io.index_io import save_index
-
-        save_index(self, directory)
-
-    # ------------------------------------------------------------------ #
-    # introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def config(self) -> EngineConfig:
-        """The construction configuration (``num_shards`` > 1)."""
-        return self._config
-
-    @property
-    def spec(self) -> BackendSpec:
-        """The registry spec of the backend every shard runs."""
-        return self._spec
-
-    @property
-    def backend_name(self) -> str:
-        """Canonical registry key of the shards' backend."""
-        return self._spec.name
-
-    @property
-    def router(self) -> ShardRouter:
-        """The deterministic trajectory→shard router."""
-        return self._router
-
-    @property
-    def shards(self) -> tuple[TrajectoryEngine | None, ...]:
-        """The inner shard engines (``None`` for never-populated shards)."""
-        return tuple(self._shards)
-
-    @property
-    def num_shards(self) -> int:
-        """Number of fleet shards."""
-        return self._router.num_shards
-
-    @property
-    def alphabet(self) -> Alphabet:
-        """Global alphabet over every shard (arrival-ordered, persisted)."""
-        return self._alphabet
-
-    @property
-    def sigma(self) -> int:
-        """Global alphabet size (distinct edges + the two special symbols)."""
-        return self._alphabet.sigma
-
-    @property
-    def length(self) -> int:
-        """Total indexed trajectory-string length across all shards."""
-        return sum(shard.length for shard in self._present_shards())
-
-    @property
-    def n_trajectories(self) -> int:
-        """Total number of indexed trajectories across all shards."""
-        return sum(shard.n_trajectories for shard in self._present_shards())
-
-    @property
-    def n_partitions(self) -> int:
-        """Total backend partitions across all shards."""
-        return sum(shard.n_partitions for shard in self._present_shards())
-
-    @property
-    def epoch(self) -> int:
-        """Total growth across the fleet (the sum of per-shard epochs)."""
-        return sum(self.epochs)
-
-    @property
-    def epochs(self) -> tuple[int, ...]:
-        """Per-shard growth epochs (0 for never-populated shards)."""
-        return tuple(
-            0 if shard is None else shard.epoch for shard in self._shards
-        )
-
-    def size_in_bits(self) -> int:
-        """Total index size (including temporal storage) across all shards."""
-        return sum(shard.size_in_bits() for shard in self._present_shards())
-
-    def temporal_size_in_bits(self) -> int:
-        """Total exact timestamp-store size across all shards."""
-        return sum(shard.temporal_size_in_bits() for shard in self._present_shards())
-
-    def bits_per_symbol(self) -> float:
-        """Fleet index size divided by total trajectory-string length."""
-        length = self.length
-        if length == 0:
-            raise QueryError(EMPTY_INDEX_MESSAGE)
-        return self.size_in_bits() / length
-
-    def cache_stats(self) -> dict[str, int | bool]:
-        """Fleet-wide result-cache counters (summed over the shards)."""
-        merged: dict[str, int | bool] = {
-            "enabled": False,
-            "capacity": 0,
-            "size": 0,
-            "payload_bytes": 0,
-            "max_bytes": 0,
-            "epoch": self.epoch,
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "invalidations": 0,
-        }
-        for stats in self.shard_cache_stats():
-            merged["enabled"] = bool(merged["enabled"]) or bool(stats["enabled"])
-            for key in (
-                "capacity",
-                "size",
-                "payload_bytes",
-                "max_bytes",
-                "hits",
-                "misses",
-                "evictions",
-                "invalidations",
-            ):
-                merged[key] = int(merged[key]) + int(stats[key])
-        return merged
-
-    def shard_cache_stats(self) -> list[dict[str, int | bool]]:
-        """Per-shard cache counters, in shard order (empty shards skipped)."""
-        return [shard.cache_stats() for shard in self._present_shards()]
-
-    def disable_cache(self) -> None:
-        """Turn every shard's result cache off (the CLI's ``--no-cache``)."""
-        for shard in self._present_shards():
-            shard.disable_cache()
-
-    def interval_cache_stats(self) -> dict[str, int | bool]:
-        """Fleet-wide interval-cache counters (summed over the shards)."""
-        merged: dict[str, int | bool] = {
-            "enabled": False,
-            "capacity": 0,
-            "size": 0,
-            "epoch": self.epoch,
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "invalidations": 0,
-        }
-        for stats in self.shard_interval_cache_stats():
-            merged["enabled"] = bool(merged["enabled"]) or bool(stats["enabled"])
-            for key in (
-                "capacity",
-                "size",
-                "hits",
-                "misses",
-                "evictions",
-                "invalidations",
-            ):
-                merged[key] = int(merged[key]) + int(stats[key])
-        return merged
-
-    def shard_interval_cache_stats(self) -> list[dict[str, int | bool]]:
-        """Per-shard interval-cache counters (empty shards skipped)."""
-        return [shard.interval_cache_stats() for shard in self._present_shards()]
-
-    def disable_interval_cache(self) -> None:
-        """Turn every shard's interval cache off."""
-        for shard in self._present_shards():
-            shard.disable_interval_cache()
-
-    @property
-    def policy(self) -> ShardPolicy:
-        """The per-shard execution policy the fan-out runs under."""
-        return self._policy
-
-    def configure_reliability(
-        self,
-        *,
-        deadline: float | None = None,
-        retries: int | None = None,
-        degraded_results: bool | None = None,
-    ) -> None:
-        """Override fan-out reliability knobs on a live fleet.
-
-        The query-time counterpart of the build-time
-        :class:`~repro.engine.config.EngineConfig` fields (a reloaded index
-        carries the config it was built with; the CLI's ``query`` flags land
-        here).  ``None`` leaves a knob unchanged; validation runs through the
-        config's own ``__post_init__``.
-        """
-        updates: dict[str, object] = {}
-        if deadline is not None:
-            updates["shard_deadline"] = deadline
-        if retries is not None:
-            updates["shard_retries"] = retries
-        if degraded_results is not None:
-            updates["degraded_results"] = degraded_results
-        if not updates:
-            return
-        self._config = replace(self._config, **updates)
-        self._policy = ShardPolicy.from_config(self._config)
-
-    def health(self) -> dict[str, object]:
-        """Fleet health: per-shard status, failure streaks, epochs, caches.
-
-        The surface a service tier polls to decide routing/alerting: each
-        shard row carries its reliability counters (from the fan-out's
-        success/failure bookkeeping), its growth epoch, population, and its
-        result-cache stats; the top level echoes the active policy and
-        whether degraded merges are enabled.
-        """
-        executor = self.executor_info()
-        worker_rows = {
-            row["shard"]: row for row in executor["workers"]  # type: ignore[index]
-        }
-        rows: list[dict[str, object]] = []
-        for shard_id, (shard, stats) in enumerate(
-            zip(self._shards, self._health.snapshot())
-        ):
-            row: dict[str, object] = {"shard": shard_id}
-            row.update(stats)
-            row["populated"] = shard is not None
-            row["epoch"] = 0 if shard is None else shard.epoch
-            row["n_trajectories"] = 0 if shard is None else shard.n_trajectories
-            row["cache"] = None if shard is None else shard.cache_stats()
-            row["interval_cache"] = (
-                None if shard is None else shard.interval_cache_stats()
-            )
-            row["worker"] = worker_rows.get(shard_id)
-            rows.append(row)
-        failing = sum(1 for row in rows if row["status"] == "failing")
-        return {
-            "engine": "sharded",
-            "status": "failing" if failing else "ok",
-            "num_shards": self.num_shards,
-            "failing_shards": failing,
-            "degraded_results": self._config.degraded_results,
-            "policy": self._policy.describe(),
-            "executor": executor["mode"],
-            "epoch": self.epoch,
-            "n_trajectories": self.n_trajectories,
-            "shards": rows,
-        }
-
-    def stats(self) -> dict[str, object]:
-        """One observability snapshot of the whole fleet.
-
-        Same shape as :meth:`TrajectoryEngine.stats` — ``engine`` is
-        ``"sharded"``, ``epochs`` lists every shard's growth epoch, ``cache``
-        is the fleet-wide aggregate, ``health`` carries the per-shard rows —
-        so the serving tier's ``/health`` handler reads one dict regardless
-        of the engine class behind it.
-        """
-        return {
-            "engine": "sharded",
-            "backend": self.backend_name,
-            "num_shards": self.num_shards,
-            "n_trajectories": self.n_trajectories,
-            "length": self.length,
-            "sigma": self.sigma,
-            "epoch": self.epoch,
-            "epochs": list(self.epochs),
-            "size_in_bits": self.size_in_bits(),
-            "cache": self.cache_stats(),
-            "interval_cache": self.interval_cache_stats(),
-            "executor": self.executor_info(),
-            "ingest": self.ingest_stats(),
-            "health": self.health(),
-        }
-
-    def ingest_stats(self) -> dict[str, object] | None:
-        """Fleet-wide tail/compaction rollup plus the per-shard breakdown.
-
-        ``None`` when no populated shard exposes ingest counters (static
-        backends), matching :meth:`TrajectoryEngine.stats`.
-        """
-        per_shard: list[dict[str, object] | None] = []
-        for shard in self._shards:
-            backend = None if shard is None else getattr(shard, "_backend", None)
-            per_shard.append(None if backend is None else backend.ingest_stats())
-        live = [s for s in per_shard if s is not None]
-        if not live:
-            return None
-        tails = [s["tail"] for s in live]
-        compactions = [s["compaction"] for s in live]
-        last_unix = [c["last_unix"] for c in compactions if c["last_unix"] is not None]
-        return {
-            "tail": {
-                "enabled": any(t["enabled"] for t in tails),
-                "trajectories": sum(int(t["trajectories"]) for t in tails),
-                "symbols": sum(int(t["symbols"]) for t in tails),
-                "max_symbols": self._config.tail_max_symbols,
-                "max_trajectories": self._config.tail_max_trajectories,
-            },
-            "compaction": {
-                "mode": self._config.compaction,
-                "in_flight": any(c["in_flight"] for c in compactions),
-                "count": sum(int(c["count"]) for c in compactions),
-                "failures": sum(int(c["failures"]) for c in compactions),
-                "seconds_total": sum(float(c["seconds_total"]) for c in compactions),
-                "last_unix": max(last_unix) if last_unix else None,
-                "tiered_merges": sum(int(c["tiered_merges"]) for c in compactions),
-            },
-            "retained_bits": sum(int(s.get("retained_bits", 0)) for s in live),
-            "shards": [
-                None if s is None else s for s in per_shard
-            ],
-        }
-
-    def wait_for_compaction(self, timeout: float | None = None) -> bool:
-        """Block until every shard's in-flight background compaction finishes."""
-        done = True
-        for shard in self._shards:
-            if shard is not None:
-                done = shard.wait_for_compaction(timeout) and done
-        return done
-
-    @property
-    def timestamp_store(self) -> _FleetTimestampView:
-        """Fleet-wide aggregate view over the shards' timestamp stores."""
-        return self._store_view
-
-    def timestamps_of(self, trajectory_id: int) -> list[float] | None:
-        """Per-segment timestamps of one global trajectory id."""
-        if trajectory_id < 0 or trajectory_id >= self.n_trajectories:
-            return None
-        shard = self._shards[self._router.shard_of(trajectory_id)]
-        if shard is None:
-            return None
-        return shard.timestamps_of(self._router.local_of(trajectory_id))
-
-    @property
-    def timestamps(self) -> list[list[float] | None]:
-        """Per-trajectory timestamp lists in global id order."""
-        return [self.timestamps_of(g) for g in range(self.n_trajectories)]
-
-    # ------------------------------------------------------------------ #
-    # growth
-    # ------------------------------------------------------------------ #
-    def add_batch(
-        self,
-        trajectories: TrajectoryDataset | Iterable[Trajectory | Sequence[Hashable]],
-    ) -> None:
-        """Route newly arrived trajectories to their shards and index them.
-
-        Only shards that actually receive trajectories grow (and therefore
-        bump their epoch / invalidate their cache); a batch smaller than the
-        shard count leaves the remaining shards — and their cached answers —
-        untouched.
-        """
-        if not self._spec.supports_growth:
-            raise ConstructionError(
-                f"the {self._spec.name!r} backend is immutable once built; "
-                "use the 'partitioned-cinct' backend for growing collections"
-            )
-        edges, timestamps = _normalise_trajectories(trajectories)
-        # The whole batch is validated before any shard mutates, so a bad
-        # trajectory cannot leave the fleet partially grown.
-        if not edges:
-            raise ConstructionError("a batch must contain at least one trajectory")
-        for trajectory in edges:
-            if not trajectory:
-                raise ConstructionError("trajectories in a batch must be non-empty")
-        first_id = self.n_trajectories
-        validate_monotonic_timestamps(timestamps, first_id=first_id)
-        assigned = self._router.split(list(zip(edges, timestamps)), first_id)
-        for trajectory in edges:
-            for edge in trajectory:
-                self._alphabet.add(edge)
-        for shard_id, (shard, batch) in enumerate(zip(self._shards, assigned)):
-            if not batch:
-                continue
-            assert shard is not None  # growth backends materialise all shards
-            try:
-                shard.add_batch(
-                    [Trajectory(edges=e, timestamps=t) for e, t in batch]
-                )
-            except Exception as error:
-                # The batch was validated up front, so this is a backend
-                # fault mid-growth: name the shard (earlier shards in the
-                # loop have already grown; the error makes that auditable).
-                self._health.record_failure(shard_id, error)
-                raise ShardExecutionError(
-                    shard_id, "add_batch", (attempt_from_error(error),)
-                ) from error
-
-    def consolidate(self) -> None:
-        """Consolidate every populated shard's partitions (fleet-wide)."""
-        if not self._spec.supports_growth:
-            raise ConstructionError(
-                f"the {self._spec.name!r} backend is monolithic and cannot be "
-                "consolidated; use the 'partitioned-cinct' backend for growing "
-                "collections"
-            )
-        if self.n_trajectories == 0:
-            raise ConstructionError(
-                "nothing to consolidate: no trajectories were added"
-            )
-        for shard_id, shard in enumerate(self._shards):
-            if shard is None or shard.n_trajectories == 0:
-                continue
-            try:
-                shard.consolidate()
-            except Exception as error:
-                self._health.record_failure(shard_id, error)
-                raise ShardExecutionError(
-                    shard_id, "consolidate", (attempt_from_error(error),)
-                ) from error
-
-    # ------------------------------------------------------------------ #
-    # typed query API (plan globally, fan out, merge; scalar helpers come
-    # from ScalarQueryAPI)
-    # ------------------------------------------------------------------ #
-    def run(self, query: EngineQuery) -> EngineResult:
-        """Answer one typed query through the fleet pipeline."""
-        return self.run_many([query])[0]
-
-    def run_many(self, queries: Sequence[EngineQuery]) -> list[EngineResult]:
-        """Answer a mixed workload across every shard, batch-first.
-
-        The batch is normalized against the fleet view first (all raising
-        happens here, with the same messages and ordering as an unsharded
-        engine), each query is routed — extraction to the single owning
-        shard, everything else to every shard that can contribute — the
-        per-shard sub-batches execute concurrently through each shard's own
-        ``run_many`` pipeline (grouping, vectorized paths, shard-scoped
-        cache), and the per-shard answers are merged into global results in
-        input order.
-        """
-        planned = self._planner.plan_many(queries)
-        shard_batches: list[list[EngineQuery]] = [[] for _ in self._shards]
-        refs: list[list[tuple[int, int]]] = []
-        row_offsets: list[int] | None = None  # built once per batch
-        for entry in planned:
-            # Routing consults the *windowed* plan (not the canonical cache
-            # key): a windowed strict-path must still skip timestamp-less
-            # shards, and the window only lives on the un-stripped plan.
-            plan = entry.plan
-            localised = entry.query
-            if plan.kind == KIND_EXTRACT:
-                if row_offsets is None:
-                    row_offsets = self._row_offsets()
-                shard_id, local_row = self._row_home(plan.row, row_offsets)
-                plan = plan.with_shard(shard_id)
-                localised = ExtractQuery(row=local_row, length=plan.length)
-            entry_refs: list[tuple[int, int]] = []
-            for shard_id in self._target_shards(plan, entry.query):
-                entry_refs.append((shard_id, len(shard_batches[shard_id])))
-                shard_batches[shard_id].append(localised)
-            refs.append(entry_refs)
-        shard_results, failed_shards = self._fan_out(shard_batches)
-        return [
-            self._merge(entry.query, entry_refs, shard_results, failed_shards)
-            for entry, entry_refs in zip(planned, refs)
-        ]
-
-    # ------------------------------------------------------------------ #
-    # routing
-    # ------------------------------------------------------------------ #
-    def _row_offsets(self) -> list[int]:
-        """Cumulative start row of every shard in the concatenated row space."""
-        return list(accumulate(
-            (0 if shard is None else shard.length for shard in self._shards),
-            initial=0,
-        ))
-
-    def _row_home(self, row: int, offsets: list[int]) -> tuple[int, int]:
-        """Map a global BWT row to ``(shard, local row)``.
-
-        Global rows concatenate the per-shard row spaces in shard order; the
-        planner has already bounds-checked ``row`` against the total length.
-        """
-        for shard_id in range(self.num_shards):
-            if offsets[shard_id] <= row < offsets[shard_id + 1]:
-                return shard_id, row - offsets[shard_id]
-        raise QueryError(  # pragma: no cover - planner bounds-checks first
-            f"BWT position {row} out of range [0, {self.length})"
-        )
-
-    def _target_shards(self, plan: QueryPlan, query: EngineQuery) -> list[int]:
-        """Shards that can contribute to a plan's answer."""
-        if plan.routed:
-            return [plan.shard]
-        windowed = plan.windowed
-        path = query.path  # type: ignore[union-attr]  # every fan-out query has one
-        targets: list[int] = []
-        for shard_id, shard in enumerate(self._shards):
-            if shard is None or shard.n_trajectories == 0:
-                continue
-            # A pattern edge a shard never saw cannot occur on that shard;
-            # skipping it both avoids a spurious AlphabetError from the
-            # shard's own planner and contributes the correct zero/empty.
-            if any(edge not in shard.alphabet for edge in path):
-                continue
-            # Per-match window semantics drop every traversal on a
-            # timestamp-less shard anyway; skip it rather than trip the
-            # shard-local "no timestamps" rejection.
-            if windowed and not shard.timestamp_store.any_timestamped:
-                continue
-            targets.append(shard_id)
-        return targets
-
-    # ------------------------------------------------------------------ #
-    # fan-out / merge
-    # ------------------------------------------------------------------ #
-    def _fan_out(
-        self, shard_batches: list[list[EngineQuery]]
-    ) -> tuple[dict[int, list[EngineResult]], frozenset[int]]:
-        """Run every non-empty per-shard batch through the active executor.
-
-        Each sub-batch runs under the engine's :class:`ShardPolicy` (deadline,
-        bounded retries).  Returns the surviving shards' results plus the set
-        of shards that exhausted their budget — non-empty only when
-        ``EngineConfig.degraded_results`` is on; the default configuration
-        fails fast by re-raising the first (lowest shard id) canonical
-        :class:`~repro.exceptions.ShardExecutionError`.
-        """
-        jobs = [
-            (shard_id, batch)
-            for shard_id, batch in enumerate(shard_batches)
-            if batch
-        ]
-        shard_results, failures = self._ensure_executor().run_jobs(jobs)
-        for shard_id in shard_results:
-            self._health.record_success(shard_id)
-        for shard_id, error in failures.items():
-            self._health.record_failure(shard_id, error)
-        if failures and not self._config.degraded_results:
-            raise failures[min(failures)]
-        return shard_results, frozenset(failures)
-
-    def _merge(
-        self,
-        query: EngineQuery,
-        refs: list[tuple[int, int]],
-        shard_results: dict[int, list[EngineResult]],
-        failed_shards: frozenset[int],
-    ) -> EngineResult:
-        """Combine per-shard answers into the global result for one query.
-
-        With ``degraded_results`` on and one or more of this query's target
-        shards failed, the surviving shards' answers are merged anyway and
-        the result is flagged ``degraded=True`` with those shards listed —
-        an extraction routed to a failed shard has no surviving data and
-        comes back empty (but flagged).
-        """
-        dropped: tuple[int, ...] = ()
-        if failed_shards:
-            dropped = tuple(
-                sorted({shard_id for shard_id, _ in refs} & failed_shards)
-            )
-            refs = [(s, i) for s, i in refs if s not in failed_shards]
-        degraded = bool(dropped)
-        results = [shard_results[shard_id][index] for shard_id, index in refs]
-        if isinstance(query, CountQuery):
-            return CountResult(
-                query,
-                sum(r.count for r in results),  # type: ignore[union-attr]
-                degraded=degraded,
-                failed_shards=dropped,
-            )
-        if isinstance(query, ContainsQuery):
-            return ContainsResult(
-                query,
-                any(r.found for r in results),  # type: ignore[union-attr]
-                degraded=degraded,
-                failed_shards=dropped,
-            )
-        if isinstance(query, ExtractQuery):
-            if not refs:  # the single owning shard failed (degraded mode)
-                return ExtractResult(
-                    query, (), (), degraded=True, failed_shards=dropped
-                )
-            ((shard_id, _),) = refs
-            (routed,) = results
-            assert isinstance(routed, ExtractResult)
-            return ExtractResult(
-                query, self._globalise_symbols(shard_id, routed.symbols), routed.edges
-            )
-        matches = self._merge_matches(refs, results)
-        if isinstance(query, LocateQuery):
-            return LocateResult(
-                query, matches, degraded=degraded, failed_shards=dropped
-            )
-        assert isinstance(query, StrictPathQuery)
-        return StrictPathResult(
-            query, matches, degraded=degraded, failed_shards=dropped
-        )
-
-    def _globalise_symbols(
-        self, shard_id: int, symbols: tuple[int, ...]
-    ) -> tuple[int, ...]:
-        """Re-encode a shard's extracted symbols against the global alphabet.
-
-        Each shard numbers edge symbols by its own first-appearance order, so
-        a shard-local symbol id would silently decode to a different edge
-        under :attr:`alphabet`.  The special symbols (``#``/``$``) are shared
-        by every alphabet and pass through unchanged.
-        """
-        shard = self._shards[shard_id]
-        assert shard is not None  # a routed row always lands on a real shard
-        local_alphabet = shard.alphabet
-        global_alphabet = self._alphabet
-        return tuple(
-            global_alphabet.encode(local_alphabet.decode(symbol))
-            if local_alphabet.is_edge_symbol(symbol)
-            else symbol
-            for symbol in symbols
-        )
-
-    def _merge_matches(
-        self,
-        refs: list[tuple[int, int]],
-        results: list[EngineResult],
-    ) -> tuple[StrictPathMatch, ...]:
-        """Remap shard-local matches to global ids and restore canonical order."""
-        router = self._router
-        merged: list[StrictPathMatch] = []
-        for (shard_id, _), result in zip(refs, results):
-            for match in result.matches:  # type: ignore[union-attr]
-                merged.append(
-                    StrictPathMatch(
-                        trajectory_id=router.global_of(shard_id, match.trajectory_id),
-                        start_edge_index=match.start_edge_index,
-                        end_edge_index=match.end_edge_index,
-                        start_time=match.start_time,
-                        end_time=match.end_time,
-                    )
-                )
-        merged.sort(
-            key=lambda m: (m.trajectory_id, m.start_edge_index, m.end_edge_index)
-        )
-        return tuple(merged)
-
-    # ------------------------------------------------------------------ #
-    # executor plumbing
-    # ------------------------------------------------------------------ #
-    def _max_workers(self) -> int:
-        if self._config.shard_workers is not None:
-            return max(1, int(self._config.shard_workers))
-        return max(1, min(self.num_shards, os.cpu_count() or 1))
-
-    def _make_executor(self) -> ShardExecutor:
-        mode = self._config.shard_executor
-        if mode == "processes":
-            from .workers import ProcessShardExecutor
-
-            return ProcessShardExecutor(self)
-        if mode == "serial":
-            return SerialShardExecutor(self)
-        return ThreadShardExecutor(self)
-
-    def _ensure_executor(self) -> ShardExecutor:
-        # Locked: concurrent run_many callers (the serving tier's worker
-        # threads) may race the first fan-out, and two executors would leak
-        # the loser's pool/processes.
-        with self._executor_lock:
-            if self._executor_impl is None:
-                self._executor_impl = self._make_executor()
-            return self._executor_impl
-
-    @property
-    def _pool(self) -> ThreadPoolExecutor | None:
-        """The active executor's dispatch thread pool (``None`` until one is
-        actually spun up — the inline fast paths never create it)."""
-        executor = self._executor_impl
-        return None if executor is None else executor._pool
-
-    def configure_executor(self, mode: str) -> None:
-        """Switch fan-out execution strategy on a live fleet.
-
-        The query-time counterpart of ``EngineConfig.shard_executor`` (a
-        reloaded index carries the config it was built with; the CLI's
-        ``--shard-executor`` flag lands here).  The previous executor's
-        pool/worker processes are shut down; the new strategy is created
-        lazily on the next fan-out.  Validation runs through the config's
-        own ``__post_init__``.
-        """
-        new_config = replace(self._config, shard_executor=str(mode))
-        with self._executor_lock:
-            executor, self._executor_impl = self._executor_impl, None
-            self._config = new_config
-        if executor is not None:
-            executor.close()
-
-    def executor_info(self) -> dict[str, object]:
-        """JSON-safe snapshot of the fan-out executor (mode, worker rows).
-
-        ``started`` is ``False`` until the first fan-out materialises the
-        executor (worker processes fork lazily); the ``workers`` list carries
-        one row per live shard worker process — pid, restart count, liveness,
-        synced epoch — and stays empty for the in-process executors.
-        """
-        with self._executor_lock:
-            executor = self._executor_impl
-        if executor is None:
-            return {
-                "mode": self._config.shard_executor,
-                "max_workers": self._max_workers(),
-                "started": False,
-                "workers": [],
-            }
-        info = executor.describe()
-        info["started"] = True
-        return info
-
-    def close(self) -> None:
-        """Shut the fan-out executor down — dispatch pool and any shard
-        worker processes (engines remain queryable; the executor is recreated
-        lazily on the next fan-out)."""
-        with self._executor_lock:
-            executor, self._executor_impl = self._executor_impl, None
-        if executor is not None:
-            executor.close()
-
-    def __enter__(self) -> "ShardedTrajectoryEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _present_shards(self) -> list[TrajectoryEngine]:
-        return [shard for shard in self._shards if shard is not None]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"ShardedTrajectoryEngine(backend={self.backend_name!r}, "
-            f"shards={self.num_shards}, trajectories={self.n_trajectories})"
-        )
-
-
-def build_engine(
-    trajectories: TrajectoryDataset | Iterable[Trajectory | Sequence[Hashable]],
-    config: EngineConfig | None = None,
-) -> TrajectoryEngine | ShardedTrajectoryEngine:
-    """Build the engine a config asks for: sharded when ``num_shards`` > 1.
-
-    The single construction entry point for callers that take the shard
-    count from configuration (the CLI, benchmarks, services): a plain
-    :class:`TrajectoryEngine` for ``num_shards=1``, a
-    :class:`ShardedTrajectoryEngine` otherwise.
-    """
-    config = config or EngineConfig()
-    if config.num_shards > 1:
-        return ShardedTrajectoryEngine.build(trajectories, config)
-    return TrajectoryEngine.build(trajectories, config)
+def __getattr__(name: str) -> object:
+    # ``ShardedTrajectoryEngine`` is an alias of the one engine class, which
+    # lives in :mod:`repro.engine.engine` (a module that imports this one).
+    if name == "ShardedTrajectoryEngine":
+        from .engine import TrajectoryEngine
+
+        return TrajectoryEngine
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [
     "SerialShardExecutor",
     "ShardExecutor",
     "ShardRouter",
-    "ShardedTrajectoryEngine",
     "ThreadShardExecutor",
-    "build_engine",
 ]

@@ -9,18 +9,19 @@ threads with a pool of **long-lived worker processes**:
 * one worker per populated shard, created lazily at the first fan-out that
   touches the shard and reused across batches — fork/spawn cost is paid once
   per engine, not per query;
-* dispatch is the exact localized sub-batch the thread executor hands to
+* each worker holds one :class:`~repro.engine.engine.EngineShard` core, and
+  dispatch is the exact localized sub-batch the thread executor hands to
   ``shard.run_many`` — the typed query records are frozen, hashable
   dataclasses, so they pickle canonically and the parent's merge stage
-  (:meth:`~repro.engine.sharding.ShardedTrajectoryEngine.run_many`) is
-  untouched, keeping answers bit-identical across executors;
+  (:meth:`~repro.engine.TrajectoryEngine.run_many`) is untouched, keeping
+  answers bit-identical across executors;
 * under the (default) ``fork`` start method the child inherits the parent's
-  already-built shard engine copy-on-write; with mmap-loaded artefacts
+  already-built shard copy-on-write; with mmap-loaded artefacts
   (``load_index(..., mmap=True)``) the big immutable index arrays are shared
   *pages*, so N workers cost one copy of the index in RSS;
-* growth is rare and epoch-tracked: when the parent's shard engine has a
-  newer growth epoch than the worker, the worker receives the updated engine
-  once (a ``sync`` message) before the batch is dispatched;
+* growth is rare and epoch-tracked: when the parent's shard has a newer
+  growth epoch than the worker, the worker receives the updated shard once
+  (a ``sync`` message) before the batch is dispatched;
 * worker death is a first-class, *retryable* event: a crashed worker
   (broken pipe — the ``worker_crash`` fault, a segfault, an OOM kill) raises
   :class:`~repro.engine.reliability.WorkerCrashError`, a worker that blows
@@ -37,7 +38,7 @@ finalizer, so dropping the engine (or interpreter exit) leaves no orphans;
 
 ``REPRO_SHARD_START_METHOD`` overrides the multiprocessing start method
 (``fork`` | ``spawn`` | ``forkserver``) — ``fork`` is preferred where
-available (zero-copy inheritance); ``spawn`` re-pickles the shard engines and
+available (zero-copy inheritance); ``spawn`` re-pickles the shards and
 exists for platforms and tests that need it.
 """
 
@@ -58,13 +59,12 @@ from .sharding import ShardExecutor
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.connection import Connection
 
-    from .engine import TrajectoryEngine
-    from .sharding import ShardedTrajectoryEngine
+    from .engine import EngineShard, TrajectoryEngine
 
 #: Environment override for the worker start method (fork|spawn|forkserver).
 START_METHOD_ENV = "REPRO_SHARD_START_METHOD"
 
-#: Bound on shipping an engine to a worker (sync/startup handshakes).  Kept
+#: Bound on shipping a shard to a worker (sync/startup handshakes).  Kept
 #: far above any realistic pickle time — it exists so a worker that dies
 #: mid-handshake cannot hang the parent forever, not to police slowness.
 _HANDSHAKE_TIMEOUT = 120.0
@@ -74,7 +74,7 @@ def _resolve_context() -> multiprocessing.context.BaseContext:
     """The multiprocessing context workers are created from.
 
     ``fork`` is preferred where the platform offers it: the child inherits
-    the already-built shard engine without pickling, and mmap-backed index
+    the already-built shard without pickling, and mmap-backed index
     arrays stay shared pages.  ``REPRO_SHARD_START_METHOD`` forces a specific
     method (the spawn-mode tests use this).
     """
@@ -86,7 +86,7 @@ def _resolve_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context()
 
 
-def _worker_main(conn: "Connection", shard_id: int, engine: "TrajectoryEngine") -> None:
+def _worker_main(conn: "Connection", shard_id: int, shard: "EngineShard") -> None:
     """Loop of one shard worker process.
 
     Protocol (all tuples, pickled over the pipe):
@@ -96,10 +96,10 @@ def _worker_main(conn: "Connection", shard_id: int, engine: "TrajectoryEngine") 
       (see :func:`repro.reliability.faults.take_shard_fault`); applying it
       *here* makes ``hang`` a genuinely hung process for the deadline kill
       and ``worker_crash`` a genuine mid-batch death.
-    * ``("sync", engine)`` → ``("ok", None)`` — adopt a freshly grown shard
-      engine (the parent ships it when epochs diverge).
+    * ``("sync", shard)`` → ``("ok", None)`` — adopt a freshly grown shard
+      (the parent ships it when epochs diverge).
     * ``("stats",)`` → ``("ok", payload)`` — live worker-side cache counters
-      (result cache + interval cache).  The worker owns its own engine copy,
+      (result cache + interval cache).  The worker owns its own shard copy,
       so the parent's shard counters never see worker-side hits; this
       message lets ``worker_rows()`` / ``/stats`` report them.
     * ``("stop",)`` — exit the loop (no reply).
@@ -130,7 +130,7 @@ def _worker_main(conn: "Connection", shard_id: int, engine: "TrajectoryEngine") 
             conn.close()
             return
         if kind == "sync":
-            engine = message[1]
+            shard = message[1]
             conn.send(("ok", None))
             continue
         if kind == "stats":
@@ -138,8 +138,8 @@ def _worker_main(conn: "Connection", shard_id: int, engine: "TrajectoryEngine") 
                 (
                     "ok",
                     {
-                        "cache": engine.cache_stats(),
-                        "interval_cache": engine.interval_cache_stats(),
+                        "cache": shard.cache_stats(),
+                        "interval_cache": shard.interval_cache_stats(),
                     },
                 )
             )
@@ -147,7 +147,7 @@ def _worker_main(conn: "Connection", shard_id: int, engine: "TrajectoryEngine") 
         _, batch, fault = message
         try:
             faults.apply_shard_fault(shard_id, fault)
-            results = engine.run_many(batch)
+            results = shard.run_many(batch)
         except BaseException as error:
             try:
                 conn.send(("error", error))
@@ -197,12 +197,12 @@ class ShardWorker:
     def alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
 
-    def start(self, engine: "TrajectoryEngine") -> None:
-        """Fork/spawn the worker around one shard engine (callers hold lock)."""
+    def start(self, shard: "EngineShard") -> None:
+        """Fork/spawn the worker around one shard (callers hold lock)."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.shard_id, engine),
+            args=(child_conn, self.shard_id, shard),
             name=f"repro-shard-worker-{self.shard_id}",
             daemon=True,  # interpreter exit never leaves orphans behind
         )
@@ -210,7 +210,7 @@ class ShardWorker:
         child_conn.close()  # the parent's handle on the child end
         self.process = process
         self.conn = parent_conn
-        self.epoch = engine.epoch
+        self.epoch = shard.epoch
 
     def kill(self) -> None:
         """SIGKILL the worker (hung or already dead) and release the pipe."""
@@ -262,7 +262,7 @@ class ProcessShardExecutor(ShardExecutor):
     mode = "processes"
     enforce_deadline = False  # the pipe poll + kill below enforces it
 
-    def __init__(self, engine: "ShardedTrajectoryEngine"):
+    def __init__(self, engine: "TrajectoryEngine"):
         super().__init__(engine)
         self._ctx = _resolve_context()
         self._workers: dict[int, ShardWorker] = {}
@@ -325,7 +325,7 @@ class ProcessShardExecutor(ShardExecutor):
             return worker
 
     def _sync_worker(self, worker: ShardWorker) -> None:
-        """Start a dead worker / re-ship a grown engine (callers hold lock)."""
+        """Start a dead worker / re-ship a grown shard (callers hold lock)."""
         shard = self._engine._shards[worker.shard_id]
         assert shard is not None  # jobs only target populated shards
         if not worker.alive:

@@ -53,8 +53,8 @@ from ..strings.trajectory_string import TrajectoryString
 from .npzutil import ensure_npz_suffix, load_npz_arrays
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..engine.engine import TrajectoryEngine
-    from ..engine.sharding import ShardedTrajectoryEngine
+    from ..engine.config import EngineConfig
+    from ..engine.engine import EngineShard, TrajectoryEngine
 
 _FORMAT_VERSION = 1
 #: version 1 embedded raw timestamp lists in ``engine.json``; version 2 moved
@@ -326,9 +326,7 @@ def _verify_manifest(directory: Path, manifest: dict) -> None:
             )
 
 
-def save_index(
-    engine: "TrajectoryEngine | ShardedTrajectoryEngine", directory: str | Path
-) -> Path:
+def save_index(engine: "TrajectoryEngine", directory: str | Path) -> Path:
     """Persist a :class:`~repro.engine.TrajectoryEngine` of *any* backend.
 
     The engine-level state (config, backend name, alphabet) lands in
@@ -352,12 +350,12 @@ def save_index(
     SHA-256 checksums and byte sizes (format v5) that :func:`load_index`
     verifies.
 
-    A :class:`~repro.engine.sharding.ShardedTrajectoryEngine` persists as a
-    top-level shard manifest (``engine.json`` with a ``"shards"`` list and
-    the global alphabet) plus one ``shard_NN`` subdirectory per populated
-    shard, each itself a loadable single-engine index; the fleet manifest
-    checksums each shard's ``engine.json``, whose own manifest covers that
-    shard's artefacts.
+    A one-shard engine persists in this *flat layout*.  An engine with more
+    shards persists in the *fleet layout*: a top-level shard manifest
+    (``engine.json`` with a ``"shards"`` list and the global alphabet) plus
+    one flat ``shard_NN`` subdirectory per populated shard, each itself a
+    loadable one-shard index; the fleet manifest checksums each shard's
+    ``engine.json``, whose own manifest covers that shard's artefacts.
     """
     directory = Path(directory)
     if not directory.name:  # e.g. Path(".") — rename needs a real leaf name
@@ -367,7 +365,10 @@ def save_index(
     if staging.exists():  # a stale staging dir from a crashed previous save
         shutil.rmtree(staging)
     try:
-        _write_index(engine, staging)
+        if engine.num_shards == 1:
+            _write_shard(engine.shards[0], engine.config, staging, stage_prefix="")
+        else:
+            _write_sharded(engine, staging)
         _promote(staging, directory)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
@@ -395,36 +396,31 @@ def _promote(staging: Path, directory: Path) -> None:
         os.rename(staging, directory)
 
 
-def _write_index(
-    engine: "TrajectoryEngine | ShardedTrajectoryEngine",
-    directory: Path,
-    stage_prefix: str = "",
+def _write_shard(
+    shard: "EngineShard", config: "EngineConfig", directory: Path, stage_prefix: str
 ) -> None:
-    """Write one engine's complete artefact set + manifest into ``directory``.
+    """Write one shard in the flat layout (artefacts, then ``engine.json``).
 
     ``stage_prefix`` namespaces the crash-injection stages
     (:func:`repro.reliability.faults.maybe_crash_save`) so tests can target
     a boundary inside a specific shard (``"shard_01/backend"``).
     """
-    from ..engine.sharding import ShardedTrajectoryEngine
+    from ..engine.registry import backend_spec
 
     directory.mkdir(parents=True, exist_ok=True)
-    if isinstance(engine, ShardedTrajectoryEngine):
-        _write_sharded(engine, directory, stage_prefix)
-        return
-    backend_meta = engine.backend.save_state(directory)
+    backend_meta = shard.backend.save_state(directory)
     faults.maybe_crash_save(f"{stage_prefix}backend")
     # Uncompressed so load_index(..., mmap=True) can map the payload arrays.
-    engine.timestamp_store.save(directory / _TIMESTAMP_ARCHIVE, compress=False)
+    shard.timestamp_store.save(directory / _TIMESTAMP_ARCHIVE, compress=False)
     faults.maybe_crash_save(f"{stage_prefix}timestamps")
     artefacts = [path for path in directory.rglob("*") if path.is_file()]
     document: dict[str, object] = {
         "format_version": _ENGINE_FORMAT_VERSION,
-        "backend": engine.backend_name,
-        "config": engine.config.as_dict(),
-        "alphabet": _alphabet_to_json(engine.alphabet),
+        "backend": backend_spec(config.backend).name,
+        "config": config.as_dict(),
+        "alphabet": _alphabet_to_json(shard.alphabet),
         "timestamps_file": _TIMESTAMP_ARCHIVE,
-        "epoch": int(engine.epoch),
+        "epoch": int(shard.epoch),
         "backend_meta": backend_meta,
         "manifest": _manifest_of(directory, artefacts),
     }
@@ -433,10 +429,9 @@ def _write_index(
     faults.maybe_crash_save(f"{stage_prefix}document")
 
 
-def _write_sharded(
-    engine: "ShardedTrajectoryEngine", directory: Path, stage_prefix: str
-) -> None:
-    """Write the sharded layout: fleet manifest + per-shard subdirectories."""
+def _write_sharded(engine: "TrajectoryEngine", directory: Path) -> None:
+    """Write the fleet layout: fleet manifest + per-shard subdirectories."""
+    directory.mkdir(parents=True, exist_ok=True)
     shard_dirs: list[str | None] = []
     shard_documents: list[Path] = []
     for shard_id, shard in enumerate(engine.shards):
@@ -444,7 +439,7 @@ def _write_sharded(
             shard_dirs.append(None)  # a shard the router never populated
             continue
         name = f"shard_{shard_id:02d}"
-        _write_index(shard, directory / name, stage_prefix=f"{stage_prefix}{name}/")
+        _write_shard(shard, shard.config, directory / name, stage_prefix=f"{name}/")
         shard_dirs.append(name)
         shard_documents.append(directory / name / _ENGINE_DOCUMENT)
     document: dict[str, object] = {
@@ -461,28 +456,25 @@ def _write_sharded(
     }
     with (directory / _ENGINE_DOCUMENT).open("w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2)
-    faults.maybe_crash_save(f"{stage_prefix}document")
+    faults.maybe_crash_save("document")
 
 
-def load_index(
-    directory: str | Path, *, mmap: bool = False
-) -> "TrajectoryEngine | ShardedTrajectoryEngine":
+def load_index(directory: str | Path, *, mmap: bool = False) -> "TrajectoryEngine":
     """Reload an engine persisted by :func:`save_index` (any backend).
 
     Every engine document generation loads: version 4+ shard manifests come
-    back as a :class:`~repro.engine.sharding.ShardedTrajectoryEngine` (each
-    shard subdirectory reloaded through this function), v1–v3 documents (and
-    v4 documents without a shard list) as a single unsharded engine —
-    version 2 reads the compressed ``timestamps.npz`` artefact, version 1
-    (legacy) the raw timestamp lists embedded in ``engine.json``.  Version-5
-    documents carry an artefact ``manifest`` that is verified (existence,
-    byte size, SHA-256) before anything is parsed; any mismatch, missing
-    artefact or torn archive raises
-    :class:`~repro.exceptions.IndexCorruptionError` naming the offending
-    file.  Older documents load unchecksummed and upgrade to v5 on the next
-    :func:`save_index`.  Directories written by the legacy
-    :func:`save_cinct` are detected and rejected with a pointer to
-    :func:`load_cinct`.
+    back as a multi-shard :class:`~repro.engine.TrajectoryEngine` (each shard
+    subdirectory reloaded as one flat shard), v1–v3 documents (and v4
+    documents without a shard list) as a one-shard engine — version 2 reads
+    the compressed ``timestamps.npz`` artefact, version 1 (legacy) the raw
+    timestamp lists embedded in ``engine.json``.  Version-5 documents carry
+    an artefact ``manifest`` that is verified (existence, byte size,
+    SHA-256) before anything is parsed; any mismatch, missing artefact or
+    torn archive raises :class:`~repro.exceptions.IndexCorruptionError`
+    naming the offending file.  Older documents load unchecksummed and
+    upgrade to v5 on the next :func:`save_index`.  Directories written by
+    the legacy :func:`save_cinct` are detected and rejected with a pointer
+    to :func:`load_cinct`.
 
     ``mmap=True`` loads the large immutable arrays (BWT artefacts, the raw
     linear-scan text, the timestamp payloads) as read-only ``np.memmap``
@@ -498,12 +490,18 @@ def load_index(
     to a full parse member by member.  Checksum verification is unchanged —
     the manifest hashes file bytes, which the page cache makes cheap.
     """
-    from ..engine.config import EngineConfig
     from ..engine.engine import TrajectoryEngine
-    from ..engine.registry import backend_spec
-    from ..temporal.store import TimestampStore
 
     directory = Path(directory)
+    document = _read_document(directory)
+    if "shards" in document:
+        return _load_sharded(directory, document, mmap=mmap)
+    shard = _load_shard(directory, document, mmap=mmap)
+    return TrajectoryEngine([shard], shard.config)
+
+
+def _read_document(directory: Path) -> dict:
+    """Parse and verify one ``engine.json`` (version check, artefact manifest)."""
     document_path = directory / _ENGINE_DOCUMENT
     if not document_path.exists():
         if (directory / "index.json").exists():
@@ -528,8 +526,16 @@ def load_index(
         )
     if version >= 5 and "manifest" in document:
         _verify_manifest(directory, document["manifest"])
-    if "shards" in document:
-        return _load_sharded(directory, document, mmap=mmap)
+    return document
+
+
+def _load_shard(directory: Path, document: dict, *, mmap: bool = False) -> "EngineShard":
+    """Reassemble one shard from a flat-layout document."""
+    from ..engine.config import EngineConfig
+    from ..engine.engine import EngineShard
+    from ..engine.registry import backend_spec
+    from ..temporal.store import TimestampStore
+
     config = EngineConfig.from_dict(document["config"])
     spec = backend_spec(document["backend"])
     alphabet = _alphabet_from_json(document["alphabet"])
@@ -578,16 +584,15 @@ def load_index(
         )
     # Version-1/2 documents predate growth epochs; they resume at epoch 0.
     epoch = int(document.get("epoch", 0))
-    return TrajectoryEngine(backend, config, store, epoch=epoch)
+    return EngineShard(backend, config, store, epoch=epoch)
 
 
 def _load_sharded(
     directory: Path, document: dict, *, mmap: bool = False
-) -> "ShardedTrajectoryEngine":
-    """Reassemble a sharded fleet from a format-v4/v5 shard manifest."""
+) -> "TrajectoryEngine":
+    """Reassemble a multi-shard engine from a format-v4/v5 shard manifest."""
     from ..engine.config import EngineConfig
-    from ..engine.engine import TrajectoryEngine
-    from ..engine.sharding import ShardedTrajectoryEngine
+    from ..engine.engine import EngineShard, TrajectoryEngine
 
     config = EngineConfig.from_dict(document["config"])
     alphabet = _alphabet_from_json(document["alphabet"])
@@ -596,7 +601,7 @@ def _load_sharded(
         raise ConstructionError(
             "corrupt shard manifest: num_shards does not match the shard list"
         )
-    shards: list[TrajectoryEngine | None] = []
+    shards: list[EngineShard | None] = []
     for entry in shard_dirs:
         if entry is None:
             shards.append(None)
@@ -607,10 +612,10 @@ def _load_sharded(
                 f"shard directory {entry!r} is missing or incomplete "
                 f"(no {_ENGINE_DOCUMENT}) at {directory}"
             )
-        shard = load_index(shard_dir, mmap=mmap)
-        if not isinstance(shard, TrajectoryEngine):
+        shard_document = _read_document(shard_dir)
+        if "shards" in shard_document:
             raise ConstructionError(
                 f"shard directory {entry!r} does not hold a single-shard engine"
             )
-        shards.append(shard)
-    return ShardedTrajectoryEngine(shards, config, alphabet)
+        shards.append(_load_shard(shard_dir, shard_document, mmap=mmap))
+    return TrajectoryEngine(shards, config, alphabet)

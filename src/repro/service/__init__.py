@@ -1,8 +1,7 @@
 """Serving tier: async front-end with micro-batch coalescing.
 
-The sub-package turns one engine (either
-:class:`~repro.engine.TrajectoryEngine` or
-:class:`~repro.engine.ShardedTrajectoryEngine`) into a network service:
+The sub-package turns one :class:`~repro.engine.TrajectoryEngine` (any shard
+count) into a network service:
 
 * :class:`~repro.service.config.ServiceConfig` — the knobs, env-driven via
   ``REPRO_SERVE_*``.

@@ -143,7 +143,7 @@ def test_run_many_matches_scalar_run(engines, probe_paths, backend):
 
 def test_run_returns_typed_results(engines):
     engine = engines[REFERENCE]
-    path = engine.backend.trajectory_string.trajectory_edges(0)[:2]
+    path = engine.shards[0].backend.trajectory_string.trajectory_edges(0)[:2]
     count = engine.run(CountQuery(path))
     assert isinstance(count, CountResult) and count.count >= 1
     found = engine.run(ContainsQuery(path))
@@ -234,6 +234,6 @@ class TestShardedContract:
 
 def test_temporal_index_built_for_timestamped_fleet(engines):
     engine = engines[REFERENCE]
-    assert engine.temporal is not None
-    assert engine.temporal.n_trajectories == engine.n_trajectories
-    assert engine.size_in_bits() > engine.backend.size_in_bits()
+    assert engine.shards[0].temporal is not None
+    assert engine.shards[0].temporal.n_trajectories == engine.n_trajectories
+    assert engine.size_in_bits() > engine.shards[0].backend.size_in_bits()

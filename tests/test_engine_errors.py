@@ -106,6 +106,28 @@ class TestEngineNormalization:
         with pytest.raises(ConstructionError, match="decreasing timestamps"):
             TrajectoryEngine.build(bad, EngineConfig(backend=backend, block_size=15))
 
+    def test_timestamps_of_unknown_trajectory_raises(self, engines, backend):
+        engine = engines[backend]
+        for trajectory_id in (99, -1):
+            with pytest.raises(QueryError, match=f"trajectory id {trajectory_id} out of range"):
+                engine.timestamps_of(trajectory_id)
+
+    def test_growth_capability_checked_before_timestamps(self, engines, backend):
+        from repro.trajectories import Trajectory
+
+        engine = engines[backend]
+        batch = [
+            Trajectory(edges=["A", "B"], timestamps=[0.0, 1.0]),
+            Trajectory(edges=["B", "C"], timestamps=[5.0, 2.0]),
+        ]
+        if backend_spec(backend).supports_growth:
+            expected = "trajectory 5 has decreasing timestamps"  # a global id
+        else:
+            expected = "immutable once built"
+        with pytest.raises(ConstructionError, match=expected):
+            engine.add_batch(batch)
+        assert engine.n_trajectories == len(TRAJECTORIES)
+
 
 class TestShardedNormalization(TestEngineNormalization):
     """A sharded fleet raises the identical canonical errors.

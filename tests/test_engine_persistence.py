@@ -63,7 +63,7 @@ class TestRoundTrip:
         engine = TrajectoryEngine.build(fleet_dataset, config)
         save_index(engine, tmp_path / "index")
         reloaded = load_index(tmp_path / "index")
-        assert reloaded.temporal is not None
+        assert reloaded.shards[0].temporal is not None
         for path in probe_paths[:4]:
             assert reloaded.strict_path(path, 0.0, 1e9) == engine.strict_path(path, 0.0, 1e9)
 
@@ -160,7 +160,7 @@ def test_legacy_json_timestamp_document_loads(fleet_dataset, tmp_path):
     (tmp_path / "index" / "timestamps.npz").unlink()
     reloaded = load_index(tmp_path / "index")
     assert reloaded.timestamps == engine.timestamps
-    assert reloaded.temporal is not None
+    assert reloaded.shards[0].temporal is not None
 
 
 def test_missing_timestamp_archive_rejected(fleet_dataset, tmp_path):

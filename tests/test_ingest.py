@@ -266,7 +266,7 @@ class TestCacheFillAcrossIngest:
         """
         path = ["a", "b", "c"]
         engine = build_engine([path, path, ["c", "d"]], _tail_config())
-        backend = engine._backend
+        backend = engine.shards[0].backend
         original = backend.count_many
         ingested = []
 

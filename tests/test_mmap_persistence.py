@@ -70,11 +70,11 @@ def _mixed_queries(walks, *, extract: bool):
 def _mapped_artefact(engine, backend: str):
     """The large immutable array the mmap load should have left on disk."""
     if backend == "linear-scan":
-        return engine.backend.trajectory_string.text
+        return engine.shards[0].backend.trajectory_string.text
     if backend == "partitioned-cinct":
-        partition = next(iter(engine.backend.partitioned.partitions()))
+        partition = next(iter(engine.shards[0].backend.partitioned.partitions()))
         return partition.bwt_result.bwt
-    return engine.backend.bwt_result.bwt
+    return engine.shards[0].backend.bwt_result.bwt
 
 
 # --------------------------------------------------------------------------- #

@@ -190,9 +190,9 @@ class TestCacheSemantics:
     def test_disable_at_runtime(self, engine, fleet_dataset):
         path = sample_paths(fleet_dataset, 3, 1, seed=7)[0]
         engine.count(path)
-        engine.result_cache.disable()
+        engine.shards[0].result_cache.disable()
         assert engine.cache_stats()["size"] == 0
-        assert not engine.result_cache.enabled
+        assert not engine.shards[0].result_cache.enabled
         hits_before = engine.cache_stats()["hits"]
         engine.count(path)
         assert engine.cache_stats()["hits"] == hits_before
@@ -264,7 +264,7 @@ class TestContainsKind:
     @pytest.fixture()
     def spy(self, engine, monkeypatch):
         calls = {"contains": 0, "count_many": 0}
-        backend = engine.backend
+        backend = engine.shards[0].backend
         real_contains, real_count_many = backend.contains, backend.count_many
 
         def spy_contains(pattern, **kwargs):
@@ -313,7 +313,7 @@ class TestContainsKind:
     def test_partitioned_contains_encoded_short_circuits(self, engine, fleet_dataset):
         # The any-partition short-circuit: a pattern present in the first
         # partition must never consult the second.
-        partitioned = engine.backend.partitioned
+        partitioned = engine.shards[0].backend.partitioned
         consulted = []
 
         def instrument(partition):
@@ -344,7 +344,7 @@ class TestEpochs:
         baseline = engine.count(probe)
         engine.add_batch(growth_batch)
         assert engine.epoch == 1
-        assert engine.result_cache.epoch == 1
+        assert engine.shards[0].result_cache.epoch == 1
         assert engine.cache_stats()["invalidations"] == 1
         # The post-growth answer reflects the new trajectories, not the cache.
         assert engine.count(probe) >= max(baseline, 1)
@@ -456,7 +456,7 @@ class TestPlanLayer:
     def test_backends_satisfy_the_plan_executor_protocol(self, fleet_dataset):
         for backend in BACKENDS:
             engine = TrajectoryEngine.build(fleet_dataset, EngineConfig(backend=backend))
-            assert isinstance(engine.backend, PlanExecutor)
+            assert isinstance(engine.shards[0].backend, PlanExecutor)
 
 
 def test_available_backends_is_sorted_and_stable():

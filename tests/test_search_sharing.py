@@ -429,7 +429,7 @@ def test_non_sharing_backends_never_touch_the_interval_cache(fleet_dataset):
     engine = TrajectoryEngine.build(
         fleet_dataset, EngineConfig(backend="linear-scan", cache_size=0)
     )
-    if getattr(engine._backend, "supports_interval_sharing", False):
+    if getattr(engine.shards[0].backend, "supports_interval_sharing", False):
         pytest.skip("linear-scan grew interval sharing; pick another control")
     engine.count_many(sharing_workload(fleet_dataset))
     stats = engine.interval_cache_stats()

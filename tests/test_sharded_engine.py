@@ -29,7 +29,7 @@ from repro.engine import (
     build_engine,
     sample_paths,
 )
-from repro.exceptions import ConstructionError
+from repro.exceptions import ConstructionError, QueryError
 from repro.io import load_index
 from repro.network import grid_network
 from repro.trajectories import TrajectoryDataset, straight_biased_walks
@@ -318,15 +318,18 @@ class TestShardedPersistenceLayout:
         assert reloaded.shards[2] is None
         assert reloaded.count(["b", "c"]) == 2
 
-    def test_sharded_load_classmethod_rejects_unsharded(self, fleet_dataset, tmp_path):
+    def test_load_classmethod_returns_either_layout(self, fleet_dataset, tmp_path):
+        # The load entry point returns whatever the directory holds: the flat
+        # one-shard layout or the fleet layout.
         TrajectoryEngine.build(fleet_dataset, _config("cinct", 1)).save(tmp_path / "one")
-        with pytest.raises(ConstructionError, match="unsharded"):
-            ShardedTrajectoryEngine.load(tmp_path / "one")
+        one = ShardedTrajectoryEngine.load(tmp_path / "one")
+        assert type(one) is TrajectoryEngine and one.num_shards == 1
         sharded = ShardedTrajectoryEngine.build(fleet_dataset, _config("cinct", 2))
         sharded.save(tmp_path / "two")
-        assert isinstance(
-            ShardedTrajectoryEngine.load(tmp_path / "two"), ShardedTrajectoryEngine
-        )
+        two = ShardedTrajectoryEngine.load(tmp_path / "two")
+        assert type(two) is TrajectoryEngine and two.num_shards == 2
+        assert_query_parity(two, one, fleet_dataset, seed=31)
+        two.close()
 
     def test_corrupt_manifest_rejected(self, fleet_dataset, tmp_path):
         engine = ShardedTrajectoryEngine.build(fleet_dataset, _config("cinct", 2))
@@ -340,10 +343,15 @@ class TestShardedPersistenceLayout:
 
 
 class TestShardedConstruction:
-    def test_unsharded_build_rejects_multi_shard_config(self, fleet_dataset):
-        # A monolithic engine must not silently claim a fleet layout.
-        with pytest.raises(ConstructionError, match="build_engine"):
-            TrajectoryEngine.build(fleet_dataset, _config("cinct", 4))
+    def test_build_accepts_any_shard_count(self, fleet_dataset):
+        # num_shards=4 builds a four-shard engine of the one engine class,
+        # answering like the one-shard engine.
+        engine = TrajectoryEngine.build(fleet_dataset, _config("cinct", 4))
+        unsharded = TrajectoryEngine.build(fleet_dataset, _config("cinct", 1))
+        assert type(engine) is type(unsharded) is TrajectoryEngine
+        assert engine.num_shards == len(engine.shards) == 4
+        assert_query_parity(engine, unsharded, fleet_dataset, seed=33)
+        engine.close()
 
     def test_config_names_must_match_shards(self, fleet_dataset):
         inner = TrajectoryEngine.build(fleet_dataset, _config("cinct", 1))
@@ -388,13 +396,16 @@ class TestShardedConstruction:
         matches = sharded.strict_path(["a", "b"], 0.0, 10.0)
         assert [m.trajectory_id for m in matches] == [0]
 
-    def test_unsharded_load_rejects_sharded_directory(self, fleet_dataset, tmp_path):
+    def test_load_reloads_a_fleet_directory(self, fleet_dataset, tmp_path):
         ShardedTrajectoryEngine.build(fleet_dataset, _config("cinct", 2)).save(
             tmp_path / "fleet"
         )
-        with pytest.raises(ConstructionError, match="sharded fleet"):
-            TrajectoryEngine.load(tmp_path / "fleet")
+        loaded = TrajectoryEngine.load(tmp_path / "fleet")
+        assert loaded.num_shards == 2
         assert isinstance(load_index(tmp_path / "fleet"), ShardedTrajectoryEngine)
+        unsharded = TrajectoryEngine.build(fleet_dataset, _config("cinct", 1))
+        assert_query_parity(loaded, unsharded, fleet_dataset, seed=35)
+        loaded.close()
 
     def test_timestamps_route_by_global_id(self, fleet_dataset):
         engine = ShardedTrajectoryEngine.build(fleet_dataset, _config("cinct", 3))
@@ -402,7 +413,8 @@ class TestShardedConstruction:
         assert engine.timestamps == unsharded.timestamps
         for global_id in (0, 5, len(fleet_dataset.trajectories) - 1):
             assert engine.timestamps_of(global_id) == unsharded.timestamps_of(global_id)
-        assert engine.timestamps_of(10_000) is None
+        with pytest.raises(QueryError, match="trajectory id 10000 out of range"):
+            engine.timestamps_of(10_000)
 
     def test_growth_capable_fleet_starts_empty(self, growth_batch):
         engine = ShardedTrajectoryEngine.build([], _config("partitioned-cinct", 3))

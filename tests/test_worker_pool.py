@@ -387,10 +387,20 @@ def test_stats_and_health_report_worker_rows(fleet_dataset, probe_path):
     engine.close()
 
 
-def test_unsharded_engine_reports_inline_executor(fleet_dataset):
+def test_unsharded_engine_reports_inline_executor(fleet_dataset, probe_path):
     engine = TrajectoryEngine.build(fleet_dataset, EngineConfig(backend="cinct"))
     assert engine.stats()["executor"]["mode"] == "inline"
     assert engine.health()["executor"] == "inline"
+    expected = engine.locate(probe_path)
+    # The fan-out controls exist on every engine; one shard only records them.
+    engine.configure_executor("processes")
+    engine.configure_reliability(deadline=5.0, retries=2, degraded_results=True)
+    assert engine.config.shard_executor == "processes"
+    assert engine.config.shard_retries == 2
+    assert engine.executor_info()["mode"] == "inline"
+    engine.close()
+    assert engine.locate(probe_path) == expected
+    assert engine.stats()["executor"]["workers"] == []
 
 
 def test_worker_crash_error_is_exported():
