@@ -1,6 +1,6 @@
 """Ablation — RRR vs plain bit vectors inside CiNCT.
 
-Not a paper figure, but a design-choice check DESIGN.md calls out: the RRR
+Not a paper figure, but a check of a design choice: the RRR
 bit vectors are what turn the Huffman-shaped wavelet tree into a compressed
 structure.  Replacing them with plain bitmaps must increase the index size on
 the low-entropy labelled BWT while keeping all answers identical.

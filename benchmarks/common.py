@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark suite.
 
-Every benchmark file reproduces one table or figure of the paper (see
-DESIGN.md for the index).  Dataset sizes are controlled by the
+Every ``bench_fig*``/``bench_table*`` file reproduces the paper's table or
+figure of that name.  Dataset sizes are controlled by the
 ``REPRO_BENCH_SCALE`` environment variable (default 1.0); the pure-Python
 implementation is orders of magnitude slower than the paper's C++ code, so
 the defaults aim for minutes, not hours, while keeping the relative behaviour

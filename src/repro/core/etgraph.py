@@ -62,14 +62,17 @@ class ETGraph:
         # matching the paper's worked example (edge F -> # in Fig. 6a/6b).
         targets = arr
         contexts = np.roll(arr, -1)
-        keys = contexts * self._sigma + targets
-        unique_keys, counts = np.unique(keys, return_counts=True)
-        self._adjacency: dict[int, dict[int, int]] = {}
-        for key, count in zip(unique_keys, counts):
-            context = int(key // self._sigma)
-            target = int(key % self._sigma)
-            self._adjacency.setdefault(context, {})[target] = int(count)
-        self._n_edges = int(unique_keys.size)
+        keys, counts = np.unique(contexts * self._sigma + targets, return_counts=True)
+        # Edges sorted by (context, target); the edges of the i-th vertex with
+        # successors fill [_starts[i], _starts[i + 1]).
+        self._keys = keys
+        self._contexts = keys // self._sigma
+        self._targets = keys % self._sigma
+        self._counts = counts.astype(np.int64)
+        firsts = np.flatnonzero(np.diff(self._contexts, prepend=-1))
+        self._vertices = self._contexts[firsts]
+        self._starts = np.append(firsts, keys.size)
+        self._n_edges = int(keys.size)
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -84,19 +87,33 @@ class ETGraph:
         """Number of directed edges ``|E_T|``."""
         return self._n_edges
 
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(contexts, targets, bigram_counts)`` of every edge, by (context, target)."""
+        return self._contexts, self._targets, self._counts
+
+    def _span(self, context: int) -> tuple[int, int]:
+        """The edge index range of ``context`` (empty when it has no successors)."""
+        i = int(np.searchsorted(self._vertices, int(context)))
+        if i < self._vertices.size and int(self._vertices[i]) == int(context):
+            return int(self._starts[i]), int(self._starts[i + 1])
+        return 0, 0
+
     def out_neighbours(self, context: int) -> list[int]:
         """``N_out(context)``: targets reachable in one observed transition."""
-        return sorted(self._adjacency.get(int(context), {}))
+        first, end = self._span(context)
+        return self._targets[first:end].tolist()
 
     def out_degree(self, context: int) -> int:
         """Number of distinct observed successors of ``context``."""
-        return len(self._adjacency.get(int(context), {}))
+        first, end = self._span(context)
+        return end - first
+
+    def _degrees(self) -> np.ndarray:
+        return np.diff(self._starts)
 
     def max_out_degree(self) -> int:
         """The maximum out-degree ``delta`` over all contexts."""
-        if not self._adjacency:
-            return 0
-        return max(len(neighbours) for neighbours in self._adjacency.values())
+        return int(self._degrees().max()) if self._vertices.size else 0
 
     def average_out_degree(self, edge_symbols_only: bool = True, first_edge_symbol: int = 2) -> float:
         """Average out-degree ``d-bar`` reported in Table III.
@@ -109,40 +126,50 @@ class ETGraph:
         first_edge_symbol:
             The smallest symbol value that denotes a road segment.
         """
-        degrees = [
-            len(neighbours)
-            for context, neighbours in self._adjacency.items()
-            if not edge_symbols_only or context >= first_edge_symbol
-        ]
-        if not degrees:
+        degrees = self._degrees()
+        if edge_symbols_only:
+            degrees = degrees[self._vertices >= first_edge_symbol]
+        if not degrees.size:
             return 0.0
-        return sum(degrees) / len(degrees)
+        return int(degrees.sum()) / degrees.size
+
+    def _edge_index(self, context: int, target: int) -> int | None:
+        context, target = int(context), int(target)
+        if not (0 <= context < self._sigma and 0 <= target < self._sigma):
+            return None
+        key = context * self._sigma + target
+        i = int(np.searchsorted(self._keys, key))
+        return i if i < self._keys.size and int(self._keys[i]) == key else None
 
     def has_edge(self, context: int, target: int) -> bool:
         """True when the transition ``context -> target`` was observed."""
-        return int(target) in self._adjacency.get(int(context), {})
+        return self._edge_index(context, target) is not None
 
     def bigram_count(self, context: int, target: int) -> int:
         """Number of times the transition ``context -> target`` occurs in ``T``."""
-        try:
-            return self._adjacency[int(context)][int(target)]
-        except KeyError:
-            raise QueryError(f"no ET-graph edge {context} -> {target}") from None
+        i = self._edge_index(context, target)
+        if i is None:
+            raise QueryError(f"no ET-graph edge {context} -> {target}")
+        return int(self._counts[i])
 
     def edges(self) -> Iterator[ETEdge]:
         """Iterate over all edges with their bigram counts."""
-        for context in sorted(self._adjacency):
-            for target, count in sorted(self._adjacency[context].items()):
-                yield ETEdge(context=context, target=target, bigram_count=count)
+        for context, target, count in zip(
+            self._contexts.tolist(), self._targets.tolist(), self._counts.tolist()
+        ):
+            yield ETEdge(context=context, target=target, bigram_count=count)
 
     def neighbours_by_frequency(self, context: int) -> list[tuple[int, int]]:
         """``(target, bigram_count)`` pairs sorted by decreasing count, ties by symbol."""
-        items = self._adjacency.get(int(context), {})
-        return sorted(items.items(), key=lambda pair: (-pair[1], pair[0]))
+        first, end = self._span(context)
+        targets = self._targets[first:end]
+        counts = self._counts[first:end]
+        order = np.lexsort((targets, -counts))
+        return list(zip(targets[order].tolist(), counts[order].tolist()))
 
     def contexts(self) -> list[int]:
         """All vertices that have at least one outgoing edge."""
-        return sorted(self._adjacency)
+        return self._vertices.tolist()
 
     # ------------------------------------------------------------------ #
     # size accounting
@@ -163,7 +190,7 @@ class ETGraph:
         offset_bits = bits_needed(max(self._n_edges, 1))
         symbol_bits = bits_needed(max(self._sigma - 1, 1))
         label_bits = bits_needed(max(self.max_out_degree(), 1))
-        vertex_bits = len(self._adjacency) * (offset_bits + n_bits)
+        vertex_bits = int(self._vertices.size) * (offset_bits + n_bits)
         edge_bits = self._n_edges * (symbol_bits + label_bits)
         return vertex_bits + edge_bits
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
@@ -499,11 +500,9 @@ class PartitionedCiNCT:
         batch = [list(t) for t in trajectories]
         if not batch:
             raise ConstructionError("a batch must contain at least one trajectory")
-        for trajectory in batch:
-            if not trajectory:
-                raise ConstructionError("trajectories in a batch must be non-empty")
-            for edge in trajectory:
-                self._alphabet.add(edge)
+        if not all(batch):
+            raise ConstructionError("trajectories in a batch must be non-empty")
+        self._alphabet.add_many(chain.from_iterable(batch))
 
         if self._tail is None:
             return self._add_batch_partition(batch)

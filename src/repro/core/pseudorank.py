@@ -69,44 +69,40 @@ class CorrectionTerms:
         return len(self._terms) * bits_needed(max(self._text_length - 1, 1))
 
 
+def _ranks_at(sequence: np.ndarray, symbols: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """``rank_symbols[k](sequence, positions[k])`` for every ``k`` at once.
+
+    Sorting the keys ``symbol * (n + 1) + position`` lays every symbol's
+    occurrences out in position order, so a rank is the distance between two
+    ``searchsorted`` probes into the symbol's run.
+    """
+    base = int(sequence.size) + 1
+    keys = np.sort(sequence.astype(np.int64) * base + np.arange(sequence.size))
+    first = symbols * base
+    return np.searchsorted(keys, first + positions) - np.searchsorted(keys, first)
+
+
 def compute_correction_terms(
     bwt: np.ndarray,
     labelled_bwt: np.ndarray,
     c_array: np.ndarray,
     rml: RMLFunction,
 ) -> CorrectionTerms:
-    """Precompute ``Z_{w'w}`` for every ET-graph edge in a single pass.
+    """Precompute ``Z_{w'w}`` for every ET-graph edge with whole-array passes.
 
     Both ranks in the definition of ``Z`` are taken at the context boundary
-    ``C[w']``.  Within the context block of ``w'`` the labelled and original
-    symbols are in one-to-one correspondence, so a single left-to-right sweep
-    that maintains running occurrence counts of original symbols and labels is
-    enough: at each boundary ``C[w']`` we snapshot
-    ``label_count[eta] - symbol_count[w]`` for every out-neighbour ``w``.
+    ``C[w']``, so every RML slot (context ``w'``, label ``eta``, target
+    ``w``) needs ``rank_eta(phi(Tbwt), C[w']) - rank_w(Tbwt, C[w'])``: one
+    batched rank over each BWT.
     """
-    n = int(bwt.size)
-    sigma = int(c_array.size - 1)
-    max_label = rml.max_label
-    symbol_counts = np.zeros(sigma, dtype=np.int64)
-    label_counts = np.zeros(max_label + 1, dtype=np.int64)
-
-    terms: dict[tuple[int, int], int] = {}
-    by_slot = [0] * len(rml)
-    offsets = rml.context_offsets.tolist()
-    position = 0
-    for context in range(sigma):
-        boundary = int(c_array[context])
-        while position < boundary:
-            symbol_counts[int(bwt[position])] += 1
-            label_counts[int(labelled_bwt[position])] += 1
-            position += 1
-        if int(c_array[context + 1]) == boundary:
-            continue  # context never occurs; no edges to label
-        for target, label in rml.labels_for_context(context).items():
-            z = int(label_counts[label]) - int(symbol_counts[target])
-            terms[(context, target)] = z
-            by_slot[offsets[context] + label - 1] = z
-    return CorrectionTerms(terms, text_length=n, by_slot=np.asarray(by_slot, dtype=np.int64))
+    offsets = rml.context_offsets
+    contexts = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    targets = rml.targets
+    labels = np.arange(len(rml)) - offsets[contexts] + 1
+    boundaries = c_array[contexts]
+    by_slot = _ranks_at(labelled_bwt, labels, boundaries) - _ranks_at(bwt, targets, boundaries)
+    terms = dict(zip(zip(contexts.tolist(), targets.tolist()), by_slot.tolist()))
+    return CorrectionTerms(terms, text_length=int(bwt.size), by_slot=by_slot)
 
 
 def pseudo_rank(

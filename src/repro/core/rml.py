@@ -45,9 +45,6 @@ class RMLFunction:
         self._label_of = label_of
         self._target_of = target_of
         self._max_label = max(label_of.values(), default=0)
-        self._by_context: dict[int, dict[int, int]] = {}
-        for (context, target), label in label_of.items():
-            self._by_context.setdefault(context, {})[target] = label
 
         n_edges = len(label_of)
         contexts = np.fromiter((c for c, _ in label_of), dtype=np.int64, count=n_edges)
@@ -140,7 +137,11 @@ class RMLFunction:
 
     def labels_for_context(self, context: int) -> dict[int, int]:
         """Return ``{target: label}`` for every out-neighbour of ``context``."""
-        return dict(self._by_context.get(int(context), {}))
+        context = int(context)
+        if not 0 <= context < self._key_base:
+            return {}
+        first, end = self._context_offsets[context : context + 2].tolist()
+        return {target: label for label, target in enumerate(self._targets[first:end].tolist(), 1)}
 
     def __len__(self) -> int:
         return len(self._label_of)
@@ -171,24 +172,26 @@ def build_rml(
     if strategy == "unigram" and unigram_counts is None:
         raise ConstructionError("the 'unigram' strategy requires unigram_counts")
 
-    label_of: dict[tuple[int, int], int] = {}
-    target_of: dict[tuple[int, int], int] = {}
-    for context in graph.contexts():
-        by_frequency = graph.neighbours_by_frequency(context)
-        targets = [target for target, _ in by_frequency]
-        if strategy == "bigram":
-            ordered = targets
-        elif strategy == "random":
-            ordered = list(targets)
-            rng.shuffle(ordered)  # type: ignore[union-attr]
-        elif strategy == "unigram":
-            ordered = sorted(targets, key=lambda t: (-int(unigram_counts[t]), t))  # type: ignore[index]
-        else:
-            raise ConstructionError(f"unknown labelling strategy: {strategy!r}")
-        for offset, target in enumerate(ordered, start=1):
-            label_of[(context, target)] = offset
-            target_of[(context, offset)] = target
-    return RMLFunction(label_of, target_of)
+    if strategy not in ("bigram", "random", "unigram"):
+        raise ConstructionError(f"unknown labelling strategy: {strategy!r}")
+    contexts, targets, counts = graph.edge_arrays()
+    # Label order within each context: decreasing bigram count (or unigram
+    # count of the target), ties by target symbol.
+    if strategy == "unigram":
+        counts = np.asarray(unigram_counts, dtype=np.int64)[targets]  # type: ignore[arg-type]
+    order = np.lexsort((targets, -counts, contexts))
+    contexts, targets = contexts[order], targets[order]
+    firsts = np.flatnonzero(np.diff(contexts, prepend=-1))
+    if strategy == "random":
+        # One seeded shuffle per context, in context order.
+        for first, end in zip(firsts.tolist(), np.append(firsts[1:], targets.size).tolist()):
+            rng.shuffle(targets[first:end])  # type: ignore[union-attr]
+    labels = np.arange(targets.size) - np.repeat(firsts, np.diff(firsts, append=targets.size)) + 1
+    contexts_list, targets_list, labels_list = contexts.tolist(), targets.tolist(), labels.tolist()
+    return RMLFunction(
+        dict(zip(zip(contexts_list, targets_list), labels_list)),
+        dict(zip(zip(contexts_list, labels_list), targets_list)),
+    )
 
 
 def label_bwt(
@@ -200,19 +203,19 @@ def label_bwt(
 
     The BWT is partitioned into length-1 context blocks ``[C[w'], C[w'+1])``;
     every symbol in the block of context ``w'`` is replaced by
-    ``phi(symbol | w')``.
+    ``phi(symbol | w')``: one :meth:`RMLFunction.edge_slots` lookup over the
+    whole BWT.
     """
-    labelled = np.zeros(bwt.size, dtype=np.int64)
     sigma = c_array.size - 1
-    for context in range(sigma):
-        start = int(c_array[context])
-        end = int(c_array[context + 1])
-        if start == end:
-            continue
-        mapping = rml.labels_for_context(context)
-        block = bwt[start:end]
-        labelled[start:end] = [mapping[int(symbol)] for symbol in block]
-    return labelled
+    contexts = np.repeat(np.arange(sigma), np.diff(c_array))
+    slots = rml.edge_slots(bwt, contexts)
+    if slots.size and int(slots.min()) < 0:
+        row = int(np.argmin(slots))
+        raise ConstructionError(
+            f"phi({int(bwt[row])} | {int(contexts[row])}) is undefined at BWT row {row} "
+            "(no ET-graph edge)"
+        )
+    return slots - rml.context_offsets[contexts] + 1
 
 
 def labelled_entropy(labelled_bwt: Sequence[int] | np.ndarray) -> float:

@@ -50,7 +50,7 @@ import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -98,21 +98,44 @@ from .sharding import (
 def validate_monotonic_timestamps(
     timestamps: Sequence[list[float] | None], first_id: int
 ) -> None:
-    """Reject decreasing per-trajectory timestamps with the canonical message.
+    """Reject decreasing or non-finite timestamps with the canonical messages.
 
     The same construction-time check ``TemporalIndex.from_trajectories``
     performs, applied only to newly arriving trajectories so streaming
-    ingestion stays linear overall.  ``first_id`` names the global id of the
-    first entry, so the error points at the offending trajectory whatever
-    the shard count.
+    ingestion stays linear overall.  NaN and infinite timestamps are
+    rejected too: they cannot be ordered, encoded or answered as JSON.  One
+    pass runs over the concatenated timestamps, ignoring the steps between
+    trajectories.  ``first_id`` names the global id of the first entry, so
+    the error points at the first offending trajectory whatever the shard
+    count.
     """
-    for offset, times in enumerate(timestamps):
-        if times is None:
-            continue
-        if np.any(np.diff(np.asarray(times, dtype=np.float64)) < 0):
-            raise ConstructionError(
-                f"trajectory {first_id + offset} has decreasing timestamps"
-            )
+    present = [
+        (offset, times)
+        for offset, times in enumerate(timestamps)
+        if times is not None and len(times)
+    ]
+    lengths = np.fromiter(
+        (len(times) for _, times in present), dtype=np.int64, count=len(present)
+    )
+    values = np.fromiter(
+        chain.from_iterable(times for _, times in present),
+        dtype=np.float64,
+        count=int(lengths.sum()),
+    )
+    ends = np.cumsum(lengths)
+    falls = np.diff(values) < 0
+    falls[ends[:-1] - 1] = False  # steps from one trajectory into the next
+    finite = np.isfinite(values)
+    # The first trajectory with each fault (len(present) when none has it).
+    non_finite = decreasing = len(present)
+    if not finite.all():
+        non_finite = int(np.searchsorted(ends, np.argmin(finite), side="right"))
+    if falls.any():
+        decreasing = int(np.searchsorted(ends, np.argmax(falls), side="right"))
+    if min(non_finite, decreasing) < len(present):
+        offset = present[min(non_finite, decreasing)][0]
+        fault = "non-finite" if non_finite <= decreasing else "decreasing"
+        raise ConstructionError(f"trajectory {first_id + offset} has {fault} timestamps")
 
 
 def _normalise_trajectories(
@@ -1028,9 +1051,7 @@ class TrajectoryEngine(ScalarQueryAPI):
         if self._solo is not None:
             self._solo.add_batch(edges, timestamps)
             return
-        for trajectory in edges:
-            for edge in trajectory:
-                self._alphabet.add(edge)
+        self._alphabet.add_many(chain.from_iterable(edges))
         for shard_id, (shard, shard_edges, shard_times) in enumerate(
             zip(
                 self._shards,

@@ -39,6 +39,7 @@ keys are unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Hashable, Sequence
 
@@ -201,6 +202,14 @@ class QueryPlanner:
     def _plan_strict_path(self, query: StrictPathQuery) -> QueryPlan:
         if (query.t_start is None) != (query.t_end is None):
             raise QueryError("provide both t_start and t_end, or neither")
+        if query.t_start is not None and (
+            math.isnan(query.t_start) or math.isnan(query.t_end)  # type: ignore[arg-type]
+        ):
+            # NaN compares false both ways, so it would filter every match
+            # out silently; infinite bounds stay legal as open windows.
+            raise QueryError(
+                f"time window bounds must not be NaN, got [{query.t_start}, {query.t_end}]"
+            )
         if query.t_start is not None and not self._store.any_timestamped:
             raise QueryError(
                 "the dataset has no timestamps; temporal filtering is unavailable"

@@ -107,7 +107,8 @@ def query_from_json(document: object) -> tuple[EngineQuery, float | None]:
         )
     timeout = _optional_number(document, "deadline_ms")
     if timeout is not None:
-        if timeout <= 0:
+        # ``not timeout > 0`` also rejects NaN, which would never expire.
+        if not timeout > 0:
             raise QueryError(f'"deadline_ms" must be positive, got {timeout}')
         timeout = timeout / 1000.0
     if kind == "count":

@@ -14,7 +14,10 @@ separator), with the lexicographic order ``# < $ < w`` for every road segment
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Hashable, Iterable, Sequence
+
+import numpy as np
 
 from ..exceptions import AlphabetError, unknown_segment_message
 
@@ -62,14 +65,23 @@ class Alphabet:
             self._symbol_to_edge.append(edge_id)
         return symbol
 
+    def add_many(self, edge_ids: Iterable[Hashable]) -> np.ndarray:
+        """Register every ``edge_id`` as :meth:`add` would; return their symbols.
+
+        New ids get symbols in order of first occurrence, exactly as adding
+        them one by one, but registration runs once per distinct id.
+        """
+        ids = list(edge_ids)
+        for edge_id in dict.fromkeys(ids):
+            self.add(edge_id)
+        return np.fromiter(
+            map(self._edge_to_symbol.__getitem__, ids), dtype=np.int64, count=len(ids)
+        )
+
     @classmethod
     def from_trajectories(cls, trajectories: Iterable[Sequence[Hashable]]) -> "Alphabet":
         """Build an alphabet containing every edge appearing in ``trajectories``."""
-        alphabet = cls()
-        for trajectory in trajectories:
-            for edge_id in trajectory:
-                alphabet.add(edge_id)
-        return alphabet
+        return cls(dict.fromkeys(chain.from_iterable(trajectories)))
 
     # ------------------------------------------------------------------ #
     # lookups

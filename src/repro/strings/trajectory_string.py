@@ -13,6 +13,7 @@ of the paper rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -94,27 +95,24 @@ def build_trajectory_string(
     if alphabet is None:
         alphabet = Alphabet()
 
-    pieces: list[np.ndarray] = []
-    lengths: list[int] = []
-    offsets: list[int] = []
-    cursor = 0
-    for index, trajectory in enumerate(trajectories):
-        if len(trajectory) == 0:
-            raise ConstructionError(f"trajectory {index} is empty")
-        symbols = [alphabet.add(edge_id) for edge_id in trajectory]
-        reversed_symbols = np.asarray(symbols[::-1], dtype=np.int64)
-        pieces.append(reversed_symbols)
-        pieces.append(np.asarray([SEP_SYMBOL], dtype=np.int64))
-        lengths.append(len(symbols))
-        offsets.append(cursor)
-        cursor += len(symbols) + 1
-    pieces.append(np.asarray([END_SYMBOL], dtype=np.int64))
-    text = np.concatenate(pieces)
+    lengths = np.fromiter(map(len, trajectories), dtype=np.int64, count=len(trajectories))
+    empty = np.flatnonzero(lengths == 0)
+    if empty.size:
+        raise ConstructionError(f"trajectory {int(empty[0])} is empty")
+    symbols = alphabet.add_many(chain.from_iterable(trajectories))
+    # Trajectory k fills text[offsets[k] : separators[k]] back to front; the
+    # symbol at flat index firsts[k] + j lands at separators[k] - 1 - j.
+    offsets = np.cumsum(lengths + 1) - (lengths + 1)
+    separators = offsets + lengths
+    firsts = offsets - np.arange(offsets.size)
+    text = np.full(symbols.size + lengths.size + 1, SEP_SYMBOL, dtype=np.int64)
+    text[np.repeat(separators - 1 + firsts, lengths) - np.arange(symbols.size)] = symbols
+    text[-1] = END_SYMBOL
     return TrajectoryString(
         text=text,
         alphabet=alphabet,
-        trajectory_lengths=lengths,
-        trajectory_offsets=offsets,
+        trajectory_lengths=lengths.tolist(),
+        trajectory_offsets=offsets.tolist(),
     )
 
 

@@ -148,31 +148,35 @@ class TimestampStore:
     # ------------------------------------------------------------------ #
     def append(self, timestamps: Sequence[float] | np.ndarray | None) -> None:
         """Store one trajectory's timestamps (``None`` records a gap)."""
-        if timestamps is None:
-            self._entries.append(None)
-            return
-        times = np.asarray(timestamps, dtype=np.float64)
-        if times.ndim != 1 or times.size == 0:
-            raise ConstructionError(
-                "a timestamp sequence must be a non-empty 1-d array"
-            )
-        if np.any(np.diff(times) < 0):
-            raise ConstructionError("timestamps must be non-decreasing")
-        encoded = self.codec.encode(times)
-        decoded = encoded.decode()
-        if decoded.size == times.size and np.array_equal(decoded, times):
-            self._entries.append(_Entry(encoded, None))
-        else:
-            # Not representable at the codec resolution: keep raw samples so
-            # the store stays lossless.
-            self._entries.append(_Entry(None, times.copy()))
+        self.extend([timestamps])
 
     def extend(
         self, timestamps: Iterable[Sequence[float] | np.ndarray | None]
     ) -> None:
-        """Append one entry per trajectory in order (``None`` gaps included)."""
-        for times in timestamps:
-            self.append(times)
+        """Append one entry per trajectory in order (``None`` gaps included).
+
+        The whole batch is encoded at once over its concatenated samples; a
+        rejected batch appends nothing.  Every entry is stored delta-encoded
+        exactly when :meth:`EncodedTimestamps.decode` reproduces its samples
+        bit for bit, and as raw ``float64`` samples otherwise.
+        """
+        batch = list(timestamps)
+        arrays: list[np.ndarray] = []
+        for times in batch:
+            if times is None:
+                continue
+            array = np.asarray(times, dtype=np.float64)
+            if array.ndim != 1 or array.size == 0:
+                raise ConstructionError(
+                    "a timestamp sequence must be a non-empty 1-d array"
+                )
+            arrays.append(array)
+        if not arrays:
+            self._entries.extend(batch)  # gaps only
+            return
+        resolution = self.codec.resolution
+        entries = iter(_assemble_entries(*_encode(arrays, resolution), resolution))
+        self._entries.extend(None if times is None else next(entries) for times in batch)
 
     # ------------------------------------------------------------------ #
     # access
@@ -338,52 +342,20 @@ class TimestampStore:
         kinds = np.asarray(archive["kinds"], dtype=np.int8)
         lengths = np.asarray(archive["lengths"], dtype=np.int64)
         starts = np.asarray(archive["starts"], dtype=np.float64)
-        deltas = _as_dtype(archive["deltas"], np.int64)
-        raw_values = _as_dtype(archive["raw_values"], np.float64)
-        store = cls(codec=DeltaTimestampCodec(resolution=resolution))
-        delta_cursor = 0
-        raw_cursor = 0
-        for i in range(kinds.size):
-            kind = int(kinds[i])
-            n = int(lengths[i])
-            if kind == _KIND_NONE:
-                store._entries.append(None)
-            elif n <= 0:
-                # A zero/negative length would walk the payload cursors
-                # backwards and silently misalign every later entry.
-                raise ConstructionError(
-                    f"corrupt timestamp archive: entry {i} has length {n}"
-                )
-            elif kind == _KIND_DELTA:
-                quantised = deltas[delta_cursor : delta_cursor + n - 1]
-                delta_cursor += n - 1
-                if quantised.size and int(quantised.min()) < 0:
-                    raise ConstructionError(
-                        f"corrupt timestamp archive: entry {i} has negative deltas"
-                    )
-                store._entries.append(
-                    _Entry(_encoded_from_deltas(float(starts[i]), quantised, resolution), None)
-                )
-            elif kind == _KIND_RAW:
-                # A memmap-backed load keeps the window (shared pages); a
-                # plain load copies so the archive buffer can be released.
-                raw = raw_values[raw_cursor : raw_cursor + n]
-                if mmap_mode is None:
-                    raw = raw.copy()
-                raw_cursor += n
-                if np.any(np.diff(raw) < 0):
-                    raise ConstructionError(
-                        f"corrupt timestamp archive: entry {i} has decreasing timestamps"
-                    )
-                store._entries.append(_Entry(None, raw))
-            else:
-                raise ConstructionError(f"corrupt timestamp archive: entry kind {kind}")
-        if delta_cursor != deltas.size or raw_cursor != raw_values.size:
+        if lengths.size != kinds.size or starts.size != kinds.size:
             raise ConstructionError(
-                "corrupt timestamp archive: entry lengths do not match the "
-                f"stored payload (deltas {delta_cursor}/{deltas.size}, "
-                f"raw {raw_cursor}/{raw_values.size})"
+                f"corrupt timestamp archive: {kinds.size} kinds, "
+                f"{lengths.size} lengths and {starts.size} starts"
             )
+        # Plain ndarray views: a memmap-backed payload stays a window into
+        # the shared map, and every entry a window into the payload.
+        deltas = np.asarray(_as_dtype(archive["deltas"], np.int64))
+        raw_values = np.asarray(_as_dtype(archive["raw_values"], np.float64))
+        _check_archive(kinds, lengths, deltas, raw_values)
+        store = cls(codec=DeltaTimestampCodec(resolution=resolution))
+        store._entries = _assemble_entries(
+            kinds, lengths, starts, deltas, raw_values, resolution
+        )
         return store
 
     # ------------------------------------------------------------------ #
@@ -412,20 +384,158 @@ def _as_dtype(array: np.ndarray, dtype: type) -> np.ndarray:
     return array.astype(dtype)
 
 
-def _encoded_from_deltas(
-    start: float, quantised: np.ndarray, resolution: float
-) -> EncodedTimestamps:
-    """Rebuild an :class:`EncodedTimestamps` from its persisted arrays."""
-    from ..succinct import bits_needed
+def _encode(
+    arrays: list[np.ndarray], resolution: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Encode a batch of non-empty sample arrays into the archive layout.
 
-    width = (
-        bits_needed(int(quantised.max()))
-        if quantised.size and int(quantised.max()) > 0
-        else 1
+    Returns ``(kinds, lengths, starts, deltas, raw_values)`` as
+    :meth:`TimestampStore.save` writes them.  The lossless check decodes
+    every entry the way :meth:`EncodedTimestamps.decode` does: entries of
+    one length form the rows of a matrix whose row-wise ``cumsum`` adds the
+    deltas in the same left-to-right order, so the check is exact on
+    fractional data too (a global ``cumsum`` minus offsets would round
+    differently).
+    """
+    lengths = np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
+    values = np.concatenate(arrays)
+    if not np.isfinite(values).all():
+        raise ConstructionError("timestamps must be finite")
+    firsts = np.cumsum(lengths) - lengths
+    # Drop the steps that cross from one trajectory into the next.
+    deltas = np.delete(np.diff(values), firsts[1:] - 1)
+    if np.any(deltas < 0):
+        raise ConstructionError("timestamps must be non-decreasing")
+    quantised = np.rint(deltas / resolution).astype(np.int64)
+    steps = quantised.astype(np.float64) * resolution
+    delta_firsts = firsts - np.arange(lengths.size)
+
+    lossless = np.empty(lengths.size, dtype=bool)
+    by_length = np.argsort(lengths, kind="stable")
+    splits = np.flatnonzero(np.diff(lengths[by_length])) + 1
+    for rows in np.split(by_length, splits):
+        length = int(lengths[rows[0]])
+        sums = np.cumsum(steps[delta_firsts[rows, None] + np.arange(length - 1)], axis=1)
+        decoded = values[firsts[rows], None] + np.concatenate(
+            (np.zeros((rows.size, 1)), sums), axis=1
+        )
+        samples = values[firsts[rows, None] + np.arange(length)]
+        lossless[rows] = (decoded == samples).all(axis=1)
+
+    kinds = np.where(lossless, _KIND_DELTA, _KIND_RAW).astype(np.int8)
+    return (
+        kinds,
+        lengths,
+        values[firsts],
+        quantised[np.repeat(lossless, lengths - 1)],
+        values[np.repeat(~lossless, lengths)],
     )
-    return EncodedTimestamps(
-        start=start,
-        quantised_deltas=np.asarray(quantised, dtype=np.int64),
-        resolution=resolution,
-        delta_width=width,
+
+
+#: ``_POWERS_OF_TWO[k] == 2**k``: the bit length of ``v >= 0`` is the number
+#: of these that are ``<= v``.
+_POWERS_OF_TWO = np.left_shift(1, np.arange(63, dtype=np.int64))
+
+
+def _payload_ends(
+    kinds: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """End of every entry's window into the delta and the raw payload."""
+    delta_ends = np.cumsum(np.where(kinds == _KIND_DELTA, lengths - 1, 0))
+    raw_ends = np.cumsum(np.where(kinds == _KIND_RAW, lengths, 0))
+    return delta_ends, raw_ends
+
+
+def _check_archive(
+    kinds: np.ndarray, lengths: np.ndarray, deltas: np.ndarray, raw_values: np.ndarray
+) -> None:
+    """Raise the corruption an entry-by-entry walk of the archive meets first.
+
+    Entries are read in order, each taking its window from the running
+    payload cursors; a non-positive length stops the walk, since it would
+    misalign every later window.  Of the entries before it, the first with
+    an unknown kind, a negative delta or a decreasing raw sample is
+    reported, and a clean walk must consume both payloads exactly.
+    """
+    present = kinds != _KIND_NONE
+    short = np.flatnonzero(present & (lengths <= 0))
+    failures: list[tuple[int, str]] = []
+    walked = kinds.size
+    if short.size:
+        walked = int(short[0])
+        failures.append((walked, f"entry {walked} has length {int(lengths[walked])}"))
+    kinds, lengths = kinds[:walked], lengths[:walked]
+    delta_ends, raw_ends = _payload_ends(kinds, lengths)
+    unknown = np.flatnonzero(
+        (kinds != _KIND_NONE) & (kinds != _KIND_DELTA) & (kinds != _KIND_RAW)
     )
+    if unknown.size:
+        failures.append((int(unknown[0]), f"entry kind {int(kinds[unknown[0]])}"))
+    negative = np.flatnonzero(deltas < 0)
+    if negative.size:
+        owner = int(np.searchsorted(delta_ends, negative[0], side="right"))
+        if owner < walked:
+            failures.append((owner, f"entry {owner} has negative deltas"))
+    falls = np.flatnonzero(raw_values[1:] < raw_values[:-1])
+    owners = np.searchsorted(raw_ends, falls, side="right")
+    inside = owners < walked
+    inside[inside] = falls[inside] + 1 < raw_ends[owners[inside]]
+    if inside.any():
+        owner = int(owners[np.argmax(inside)])
+        failures.append((owner, f"entry {owner} has decreasing timestamps"))
+    if failures:
+        raise ConstructionError(f"corrupt timestamp archive: {min(failures)[1]}")
+    delta_cursor = int(delta_ends[-1]) if walked else 0
+    raw_cursor = int(raw_ends[-1]) if walked else 0
+    if delta_cursor != deltas.size or raw_cursor != raw_values.size:
+        raise ConstructionError(
+            "corrupt timestamp archive: entry lengths do not match the "
+            f"stored payload (deltas {delta_cursor}/{deltas.size}, "
+            f"raw {raw_cursor}/{raw_values.size})"
+        )
+
+
+def _assemble_entries(
+    kinds: np.ndarray,
+    lengths: np.ndarray,
+    starts: np.ndarray,
+    deltas: np.ndarray,
+    raw_values: np.ndarray,
+    resolution: float,
+) -> list[_Entry | None]:
+    """One entry per record of a well-formed archive layout.
+
+    Every entry's payload is a window into ``deltas`` or ``raw_values``.  A
+    delta entry's width is the bit length of its largest delta (at least 1),
+    as :meth:`DeltaTimestampCodec.encode` computes it.
+    """
+    delta_ends, raw_ends = _payload_ends(kinds, lengths)
+    widths = np.ones(kinds.size, dtype=np.int64)
+    with_deltas = np.flatnonzero((kinds == _KIND_DELTA) & (lengths > 1))
+    if with_deltas.size:
+        firsts = delta_ends[with_deltas] - (lengths[with_deltas] - 1)
+        # The non-empty windows tile the payload, so each reduceat segment
+        # is exactly one entry's deltas.
+        maxima = np.maximum.reduceat(deltas, firsts)
+        widths[with_deltas] = np.maximum(
+            np.searchsorted(_POWERS_OF_TWO, maxima, side="right"), 1
+        )
+    entries: list[_Entry | None] = []
+    delta_first = raw_first = 0
+    for kind, start, delta_end, raw_end, width in zip(
+        kinds.tolist(), starts.tolist(), delta_ends.tolist(), raw_ends.tolist(), widths.tolist()
+    ):
+        if kind == _KIND_DELTA:
+            encoded = EncodedTimestamps(
+                start=start,
+                quantised_deltas=deltas[delta_first:delta_end],
+                resolution=resolution,
+                delta_width=width,
+            )
+            entries.append(_Entry(encoded, None))
+        elif kind == _KIND_RAW:
+            entries.append(_Entry(None, raw_values[raw_first:raw_end]))
+        else:
+            entries.append(None)
+        delta_first, raw_first = delta_end, raw_end
+    return entries

@@ -106,6 +106,48 @@ class TestEngineNormalization:
         with pytest.raises(ConstructionError, match="decreasing timestamps"):
             TrajectoryEngine.build(bad, EngineConfig(backend=backend, block_size=15))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_timestamps_rejected(self, engines, backend, bad):
+        from repro.trajectories import Trajectory
+
+        config = EngineConfig(
+            backend=backend, block_size=15, num_shards=engines[backend].num_shards
+        )
+        fleet = [
+            Trajectory(edges=["A", "B"], timestamps=[0.0, 1.0]),
+            Trajectory(edges=["A", "B", "C"], timestamps=[2.0, bad, 9.0]),
+        ]
+        with pytest.raises(ConstructionError, match="trajectory 1 has non-finite"):
+            TrajectoryEngine.build(fleet, config)
+        if backend_spec(backend).supports_growth:
+            engine = TrajectoryEngine.build(fleet[:1], config)
+            with pytest.raises(ConstructionError, match="trajectory 1 has non-finite"):
+                engine.add_batch(fleet[1:])
+            assert engine.n_trajectories == 1
+
+    def test_nan_window_bounds_rejected(self, engines, backend):
+        from repro.trajectories import Trajectory
+
+        config = EngineConfig(
+            backend=backend,
+            block_size=15,
+            sa_sample_rate=4,
+            num_shards=engines[backend].num_shards,
+        )
+        timed = [
+            Trajectory(edges=edges, timestamps=[float(i) for i in range(len(edges))])
+            for edges in TRAJECTORIES
+        ]
+        engine = TrajectoryEngine.build(timed, config)
+        nan = float("nan")
+        for t_start, t_end in ((nan, nan), (nan, 10.0), (0.0, nan)):
+            with pytest.raises(QueryError, match="must not be NaN"):
+                engine.strict_path(["A", "B"], t_start, t_end)
+        if backend_spec(backend).supports_locate:
+            # Infinite bounds stay legal: an open window.
+            window = engine.strict_path(["A", "B"], -float("inf"), float("inf"))
+            assert window == engine.locate(["A", "B"])
+
     def test_timestamps_of_unknown_trajectory_raises(self, engines, backend):
         engine = engines[backend]
         for trajectory_id in (99, -1):

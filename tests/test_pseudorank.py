@@ -41,11 +41,23 @@ class TestCorrectionTerms:
         with pytest.raises(QueryError):
             corrections.get(10**6, 10**6)
 
-    def test_definition_of_z(self, machinery, medium_bwt):
+    @pytest.mark.parametrize("strategy", ["bigram", "random", "unigram"])
+    def test_definition_of_z(self, medium_bwt, strategy):
         """Z_{w'w} = rank_eta(phi(Tbwt), C[w']) - rank_w(Tbwt, C[w'])  (Eq. 7)."""
-        graph, rml, labelled, corrections, _ = machinery
+        graph = ETGraph(medium_bwt.text, sigma=medium_bwt.sigma)
+        rml = build_rml(
+            graph,
+            strategy=strategy,
+            rng=np.random.default_rng(3),
+            unigram_counts=medium_bwt.counts,
+        )
+        labelled = label_bwt(medium_bwt.bwt, medium_bwt.c_array, rml)
+        corrections = compute_correction_terms(
+            medium_bwt.bwt, labelled, medium_bwt.c_array, rml
+        )
         c = medium_bwt.c_array
-        for edge in list(graph.edges())[:200]:
+        assert len(corrections) == graph.n_edges
+        for edge in graph.edges():
             eta = rml.label(edge.target, edge.context)
             boundary = int(c[edge.context])
             expected = true_rank(labelled, eta, boundary) - true_rank(

@@ -217,6 +217,7 @@ class TestProtocol:
             {"type": "count", "path": [True]},
             {"type": "count", "path": ["a"], "deadline_ms": 0},
             {"type": "count", "path": ["a"], "deadline_ms": "soon"},
+            {"type": "count", "path": ["a"], "deadline_ms": float("nan")},
             {"type": "extract", "row": 1.5, "length": 2},
             {"type": "extract", "row": 1},
         ],

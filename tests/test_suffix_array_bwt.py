@@ -34,8 +34,17 @@ class TestSuffixArray:
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 50, 200])
     def test_matches_naive(self, n):
         rng = np.random.default_rng(n)
-        text = _with_sentinel([int(x) for x in rng.integers(0, 5, n)])
-        assert list(suffix_array(text)) == list(suffix_array_naive(text))
+        texts = [
+            _with_sentinel([int(x) for x in rng.integers(0, 5, n)]),
+            # Long runs and periodic strings tie for many doubling rounds.
+            _with_sentinel([0] * n),
+            _with_sentinel([0] * (n // 2) + [1] + [0] * (n - n // 2)),
+            _with_sentinel([1, 2] * n),
+            _with_sentinel([1, 1, 2] * n),
+            np.asarray([3] * n, dtype=np.int64),  # no sentinel
+        ]
+        for text in texts:
+            assert list(suffix_array(text)) == list(suffix_array_naive(text))
 
     def test_empty(self):
         assert suffix_array([]).size == 0

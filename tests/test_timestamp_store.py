@@ -147,13 +147,49 @@ class TestEncodingChoice:
 
 
 class TestGrowth:
-    def test_append_and_extend(self):
+    def test_append_and_extend(self, tmp_path):
         store = TimestampStore()
         store.append([1.0, 2.0])
         store.extend([None, [4.0]])
         assert len(store) == 3
         assert store.n_timestamped == 2
         assert store.has_timestamps(0) and not store.has_timestamps(1)
+
+        # A bulk extend stores exactly what appending one at a time stores.
+        rng = np.random.default_rng(5)
+        fleet = [
+            INTEGRAL,
+            FRACTIONAL,
+            None,
+            [42.0],
+            [0.5, 1.0, 3.5, 3.5],  # multiples of the 0.5 s resolution
+            [7.25],
+            None,
+            list(1e6 + np.cumsum(rng.uniform(0.0, 9.0, 40))),  # fractional
+            list(2e6 + np.cumsum(rng.integers(0, 20, 70)) * 0.5),
+            [1.0, 1e17, 1e17 + 0.5],
+        ] * 3
+        codec = DeltaTimestampCodec(resolution=0.5)
+        bulk = TimestampStore(codec=codec)
+        bulk.extend(fleet)
+        single = TimestampStore(codec=codec)
+        for times in fleet:
+            single.append(times)
+
+        def kinds(s):
+            return [
+                None if e is None else e.encoded is not None for e in s._entries
+            ]
+
+        assert kinds(bulk) == kinds(single)
+        assert True in kinds(bulk) and False in kinds(bulk)
+        assert bulk.as_lists() == single.as_lists() == [
+            None if times is None else [float(v) for v in times] for times in fleet
+        ]
+        assert bulk.size_in_bits() == single.size_in_bits()
+        bulk_path = bulk.save(tmp_path / "bulk.npz", compress=False)
+        single_path = single.save(tmp_path / "single.npz", compress=False)
+        assert bulk_path.read_bytes() == single_path.read_bytes()
 
     def test_flags(self):
         assert not TimestampStore().fully_timestamped
