@@ -76,11 +76,9 @@ from .fmindex import (
     build_baseline,
 )
 from .io import (
-    load_cinct,
     load_dataset_csv,
     load_dataset_jsonl,
     load_index,
-    save_cinct,
     save_dataset_csv,
     save_dataset_jsonl,
     save_index,
@@ -148,8 +146,6 @@ __all__ = [
     # persistence
     "save_index",
     "load_index",
-    "save_cinct",
-    "load_cinct",
     "save_dataset_jsonl",
     "load_dataset_jsonl",
     "save_dataset_csv",

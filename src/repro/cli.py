@@ -45,7 +45,7 @@ from .engine import (
 )
 from .exceptions import AlphabetError, ReproError
 from .io.dataset_io import load_dataset_csv, load_dataset_jsonl
-from .io.index_io import load_cinct, load_index
+from .io.index_io import load_index
 
 
 def _add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
@@ -222,11 +222,7 @@ def _command_query(args: argparse.Namespace) -> int:
     path = [_parse_edge(token) for token in args.path]
     if (args.t_start is None) != (args.t_end is None):
         raise ReproError("provide both --t-start and --t-end, or neither")
-    index_dir = Path(args.index)
-    if not (index_dir / "engine.json").exists() and (index_dir / "index.json").exists():
-        # A directory written by the legacy save_cinct format.
-        return _query_legacy(args, path)
-    engine = load_index(index_dir, mmap=args.mmap)
+    engine = load_index(Path(args.index), mmap=args.mmap)
     _apply_reliability_overrides(engine, args)
     if args.no_cache:
         engine.disable_cache()
@@ -268,6 +264,10 @@ def _command_query(args: argparse.Namespace) -> int:
             f"(hits={intervals['hits']} misses={intervals['misses']} "
             f"size={intervals['size']}/{intervals['capacity']} "
             f"evictions={intervals['evictions']})"
+        )
+        print(
+            f"size      : {snapshot['size_in_bits']} bits counted, "
+            f"{snapshot['held_bits']} held, {snapshot['mapped_bits']} mapped"
         )
         print(f"epoch     : {snapshot['epoch']}")
         health = snapshot["health"]
@@ -312,32 +312,6 @@ def _command_query(args: argparse.Namespace) -> int:
                 f"  trajectory {match.trajectory_id} "
                 f"edges [{match.start_edge_index}, {match.end_edge_index}]{window}"
             )
-    return 0
-
-
-def _query_legacy(args: argparse.Namespace, path: list[Hashable]) -> int:
-    """Query a directory written by the legacy ``save_cinct`` format."""
-    saved = load_cinct(args.index)
-    if args.t_start is not None:
-        raise ReproError("legacy CiNCT directories do not support strict-path queries")
-    if args.verbose or args.no_cache:
-        # Legacy directories are queried without the engine pipeline, so
-        # there is no result cache to report on or bypass.
-        print("note      : legacy save_cinct index; no result cache (engine-only)")
-    if saved.alphabet is not None:
-        try:
-            pattern = saved.alphabet.encode_path(path)
-        except AlphabetError:
-            print("path: not found (unknown road segment)")
-            return 0
-    else:
-        pattern = [int(token) for token in path]
-    started = time.perf_counter()
-    count = saved.index.count(pattern)
-    elapsed = (time.perf_counter() - started) * 1e6
-    print(f"path      : {' -> '.join(str(p) for p in path)}")
-    print(f"matches   : {count}")
-    print(f"query time: {elapsed:.1f} us")
     return 0
 
 

@@ -23,16 +23,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Hashable, Literal, Sequence
+from typing import Hashable, Literal, Mapping, Sequence
 
 import numpy as np
 
 from ..exceptions import ConstructionError, QueryError
 from ..fmindex.base import FMIndexBase, validate_pattern
 from ..fmindex.trie import PatternTrie, trie_backward_search
+from ..strings.alphabet import END_SYMBOL, SEP_SYMBOL
 from ..strings.bwt import BWTResult, burrows_wheeler_transform
 from ..strings.trajectory_string import TrajectoryString, build_trajectory_string
-from ..succinct import IntVector, bits_needed
+from ..succinct import BitVector, IntVector, bits_needed
 from ..wavelet import HuffmanWaveletTree, plain_bitvector_factory, rrr_bitvector_factory
 from .etgraph import ETGraph
 from .pseudorank import CorrectionTerms, compute_correction_terms
@@ -114,10 +115,11 @@ class CiNCT:
         )
         self.construction.et_graph_seconds = time.perf_counter() - started
 
+        # The labelled BWT lives only until the wavelet tree holds it.
         started = time.perf_counter()
-        self._labelled_bwt = label_bwt(bwt_result.bwt, bwt_result.c_array, self._rml)
+        labelled_bwt = label_bwt(bwt_result.bwt, bwt_result.c_array, self._rml)
         self._corrections = compute_correction_terms(
-            bwt_result.bwt, self._labelled_bwt, bwt_result.c_array, self._rml
+            bwt_result.bwt, labelled_bwt, bwt_result.c_array, self._rml
         )
         self.construction.labeling_seconds = time.perf_counter() - started
 
@@ -128,25 +130,80 @@ class CiNCT:
             factory = plain_bitvector_factory()
         else:
             raise ConstructionError(f"unknown bitvector backend: {bitvector_backend!r}")
-        self._wavelet_tree = HuffmanWaveletTree(self._labelled_bwt, bitvector_factory=factory)
+        self._wavelet_tree = HuffmanWaveletTree(labelled_bwt, bitvector_factory=factory)
         self.construction.wavelet_tree_seconds = time.perf_counter() - started
 
+        # Marked BWT rows (those whose SA value is a multiple of the rate) as
+        # one bitmap: rank1 over it indexes the samples, as in the FM-index's
+        # sampled suffix array (Ferragina and Manzini, JACM 2005).
         self._sa_sample_rate = sa_sample_rate
-        self._sa_marked: np.ndarray | None = None
         self._sa_samples: np.ndarray | None = None
+        self._sa_marks: BitVector | None = None
         if sa_sample_rate is not None:
             if sa_sample_rate < 1:
                 raise ConstructionError("sa_sample_rate must be a positive integer")
             started = time.perf_counter()
-            sa = bwt_result.suffix_array
-            marked = (sa % sa_sample_rate) == 0
-            self._sa_marked = marked
-            self._sa_samples = sa[marked]
-            # prefix counts of marked rows for O(1) sample lookup
-            self._sa_marked_prefix = np.concatenate(
-                ([0], np.cumsum(marked.astype(np.int64)))
-            )
+            marked = (bwt_result.suffix_array % sa_sample_rate) == 0
+            self._sa_samples = bwt_result.suffix_array[marked]
+            self._sa_marks = BitVector(marked)
             self.construction.extra["sa_sampling_seconds"] = time.perf_counter() - started
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "CiNCT":
+        """Restore an index from :meth:`arrays`: no construction step runs.
+
+        The arrays are held as given, so memory-mapped members stay mapped;
+        only small derived directories (rank counts, sorted edge keys, the
+        tree topology) are computed.
+        """
+        self = object.__new__(cls)
+        self.block_size = int(arrays["block_size"][0])
+        self.labeling_strategy = str(arrays["labeling_strategy"][0])  # type: ignore[assignment]
+        self.bitvector_backend = "rrr" if "hwt_classes" in arrays else "plain"
+        self.construction = ConstructionBreakdown()
+        self._c_array = arrays["c_array"]
+        self._sigma, self._n = int(self._c_array.size) - 1, int(self._c_array[-1])
+        self._et_graph = ETGraph.from_arrays(
+            arrays["et_contexts"], arrays["et_targets"], arrays["et_counts"], self._sigma, self._n
+        )
+        self._rml = RMLFunction(arrays["rml_context_offsets"], arrays["rml_targets"])
+        self._corrections = CorrectionTerms(self._rml, arrays["z_by_slot"], self._n)
+        self._wavelet_tree = HuffmanWaveletTree.from_arrays(
+            {key[4:]: value for key, value in arrays.items() if key.startswith("hwt_")}
+        )
+        sampled = "sa_sample_rate" in arrays
+        self._sa_sample_rate = int(arrays["sa_sample_rate"][0]) if sampled else None
+        self._sa_samples = arrays["sa_samples"] if sampled else None
+        self._sa_marks = BitVector.from_words(self._n, arrays["sa_marks"]) if sampled else None
+        return self
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The saved form of the index: every array a query or :meth:`size_in_bits` reads.
+
+        The wavelet tree's code and flat blocks (``hwt_*``), the RML slot
+        arrays, ``Z`` by slot, ``C``, the ET-graph edges and the SA samples
+        and packed marks.  Nothing is copied.
+        """
+        contexts, targets, counts = self._et_graph.edge_arrays()
+        out = {f"hwt_{key}": value for key, value in self._wavelet_tree.arrays().items()}
+        out.update(
+            block_size=np.asarray([self.block_size], dtype=np.int64),
+            labeling_strategy=np.asarray([self.labeling_strategy]),
+            c_array=self._c_array,
+            rml_context_offsets=self._rml.context_offsets,
+            rml_targets=self._rml.targets,
+            z_by_slot=self._corrections.by_slot,
+            et_contexts=contexts,
+            et_targets=targets,
+            et_counts=counts,
+        )
+        if self._sa_marks is not None and self._sa_samples is not None:
+            out.update(
+                sa_sample_rate=np.asarray([self._sa_sample_rate], dtype=np.int64),
+                sa_samples=self._sa_samples,
+                sa_marks=self._sa_marks.words,
+            )
+        return out
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -211,8 +268,8 @@ class CiNCT:
 
     @property
     def labelled_bwt(self) -> np.ndarray:
-        """A copy of ``phi(Tbwt)`` (mainly for analysis and tests)."""
-        return self._labelled_bwt.copy()
+        """``phi(Tbwt)`` read back from the wavelet tree (mainly for analysis and tests)."""
+        return self._wavelet_tree.access_many(np.arange(self._n))
 
     @property
     def wavelet_tree(self) -> HuffmanWaveletTree:
@@ -267,15 +324,17 @@ class CiNCT:
                 if cache is not None:
                     cache.store(tuple(symbols), None)
                 return None
+        offsets = self._rml.context_offsets
+        z = self._corrections.by_slot
         w = symbols[prefix_len - 1]
         for index in range(prefix_len, n):
             context = w
             w = symbols[index]
-            dead = not self._rml.has_label(w, context)
+            slot = self._rml.edge_slot(w, context)
+            dead = slot < 0
             if not dead:
-                label = self._rml.label(w, context)
-                correction = self._corrections.get(context, w)
-                base = int(self._c_array[w]) - correction
+                label = slot - int(offsets[context]) + 1
+                base = int(self._c_array[w]) - int(z[slot])
                 sp = base + self._wavelet_tree.rank(label, sp)
                 ep = base + self._wavelet_tree.rank(label, ep)
                 dead = sp >= ep
@@ -416,8 +475,9 @@ class CiNCT:
         decodes the label and Theorem 2 corrects the rank.
         """
         label, rank = self._wavelet_tree.inverse_select(row)
-        target = self._rml.decode(label, context)
-        return int(self._c_array[target]) + rank - self._corrections.get(context, target), target
+        slot = self._rml.label_slot(label, context)
+        target = int(self._rml.targets[slot])
+        return int(self._c_array[target]) + rank - int(self._corrections.by_slot[slot]), target
 
     def _lf_step_many(
         self, rows: np.ndarray, contexts: np.ndarray
@@ -443,17 +503,17 @@ class CiNCT:
         Requires the index to be built with ``sa_sample_rate``; walks the
         LF-mapping until a sampled row is reached.
         """
-        if self._sa_marked is None or self._sa_samples is None:
+        if self._sa_marks is None or self._sa_samples is None:
             raise QueryError("locate requires the index to be built with sa_sample_rate")
         if not 0 <= j < self._n:
             raise QueryError(f"BWT position {j} out of range [0, {self._n})")
         steps = 0
         row = j
         context = self._symbol_at_row(row)
-        while not bool(self._sa_marked[row]):
+        while not self._sa_marks.access(row):
             row, context = self._lf_step(row, context)
             steps += 1
-        sample_index = int(self._sa_marked_prefix[row])
+        sample_index = self._sa_marks.rank1(row)
         return (int(self._sa_samples[sample_index]) + steps) % self._n
 
     def locate_many(self, rows: Sequence[int]) -> list[int]:
@@ -463,7 +523,7 @@ class CiNCT:
         of the frontier while the rest continue, so a suffix range's worth of
         locates shares every wavelet access and PseudoRank batch.
         """
-        if self._sa_marked is None or self._sa_samples is None:
+        if self._sa_marks is None or self._sa_samples is None:
             raise QueryError("locate requires the index to be built with sa_sample_rate")
         rows_arr = np.asarray(list(rows), dtype=np.int64)
         if rows_arr.size and (int(rows_arr.min()) < 0 or int(rows_arr.max()) >= self._n):
@@ -477,11 +537,11 @@ class CiNCT:
         steps = np.zeros(m, dtype=np.int64)
         pending = np.arange(m)
         while pending.size:
-            marked = np.asarray(self._sa_marked[current[pending]], dtype=bool)
+            sample_index = self._sa_marks.rank1_where_set(current[pending])
+            marked = sample_index >= 0
             done = pending[marked]
             if done.size:
-                sample_index = self._sa_marked_prefix[current[done]]
-                out[done] = (self._sa_samples[sample_index] + steps[done]) % self._n
+                out[done] = (self._sa_samples[sample_index[marked]] + steps[done]) % self._n
             pending = pending[~marked]
             if pending.size == 0:
                 break
@@ -492,6 +552,31 @@ class CiNCT:
             contexts[pending] = next_contexts
             steps[pending] += 1
         return out.tolist()
+
+    def decode_text(self, separator_positions: np.ndarray) -> np.ndarray:
+        """The indexed trajectory string, decoded by Algorithm 4 from every ``$`` row at once.
+
+        The suffix of a ``$`` row starts at the separator that closes one
+        stored trajectory, so LF steps from it yield that trajectory's
+        symbols back to front until the walk reaches the previous separator
+        (or wraps to the final ``#``): as many steps as the longest
+        trajectory.  ``separator_positions`` are the text positions of the
+        ``$`` rows, ``SA[C[$] : C[$ + 1]]`` (located through the SA samples,
+        or read from a full suffix array).
+        """
+        rows = np.arange(int(self._c_array[SEP_SYMBOL]), int(self._c_array[SEP_SYMBOL + 1]))
+        text = np.empty(self._n, dtype=np.int64)
+        text[-1] = END_SYMBOL
+        text[separator_positions] = SEP_SYMBOL
+        positions = separator_positions
+        contexts = np.full(rows.size, SEP_SYMBOL, dtype=np.int64)
+        while rows.size:
+            rows, contexts = self._lf_step_many(rows, contexts)
+            positions = positions - 1
+            inside = contexts > SEP_SYMBOL
+            rows, contexts, positions = rows[inside], contexts[inside], positions[inside]
+            text[positions] = contexts
+        return text
 
     # ------------------------------------------------------------------ #
     # size accounting

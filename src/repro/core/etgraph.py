@@ -63,16 +63,29 @@ class ETGraph:
         targets = arr
         contexts = np.roll(arr, -1)
         keys, counts = np.unique(contexts * self._sigma + targets, return_counts=True)
+        self._install(keys // self._sigma, keys % self._sigma, counts.astype(np.int64))
+
+    @classmethod
+    def from_arrays(
+        cls, contexts: np.ndarray, targets: np.ndarray, counts: np.ndarray, sigma: int, length: int
+    ) -> "ETGraph":
+        """Restore the graph of a length-``length`` text from its :meth:`edge_arrays`."""
+        self = object.__new__(cls)
+        self._sigma, self._n = int(sigma), int(length)
+        self._install(contexts, targets, counts)
+        return self
+
+    def _install(self, contexts: np.ndarray, targets: np.ndarray, counts: np.ndarray) -> None:
         # Edges sorted by (context, target); the edges of the i-th vertex with
         # successors fill [_starts[i], _starts[i + 1]).
-        self._keys = keys
-        self._contexts = keys // self._sigma
-        self._targets = keys % self._sigma
-        self._counts = counts.astype(np.int64)
-        firsts = np.flatnonzero(np.diff(self._contexts, prepend=-1))
-        self._vertices = self._contexts[firsts]
-        self._starts = np.append(firsts, keys.size)
-        self._n_edges = int(keys.size)
+        self._contexts = contexts
+        self._targets = targets
+        self._counts = counts
+        self._keys = contexts * self._sigma + targets
+        firsts = np.flatnonzero(np.diff(contexts, prepend=-1))
+        self._vertices = contexts[firsts]
+        self._starts = np.append(firsts, contexts.size)
+        self._n_edges = int(contexts.size)
 
     # ------------------------------------------------------------------ #
     # accessors

@@ -37,7 +37,7 @@ import threading
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -68,57 +68,88 @@ COMPACTION_SWAP_STAGE = "compaction/swap"
 
 @dataclass
 class Partition:
-    """One immutable CiNCT partition and the data it indexes.
+    """One immutable CiNCT partition: the index and its trajectory layout.
 
-    The BWT artefacts are retained so the persistence layer can store them
-    and reload the partition in linear time, never re-sorting suffixes (the
-    same contract as the single-index backends).  The trajectory text is
-    retained **once**: ``burrows_wheeler_transform`` keeps a no-copy view of
-    its int64 input, and ``__post_init__`` rebinds ``trajectory_string.text``
-    to the BWT's array whenever the two hold equal but distinct buffers, so a
-    partition never stores two copies of the same text.
+    No text or BWT is held, nor a suffix array unless the index has no SA
+    samples (its locate reads it).  A merge decodes the text from the index
+    (:meth:`trajectory_string`); :meth:`arrays` is the saved form.
     """
 
     index: CiNCT
-    trajectory_string: TrajectoryString
-    n_trajectories: int
-    first_trajectory_id: int
-    bwt_result: BWTResult | None = None
+    trajectory_offsets: np.ndarray
+    trajectory_lengths: np.ndarray
+    first_trajectory_id: int = 0
+    suffix_array: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        if self.bwt_result is None:
-            return
-        bwt_text = self.bwt_result.text
-        string_text = self.trajectory_string.text
-        if (
-            bwt_text is not string_text
-            and bwt_text.shape == string_text.shape
-            and np.array_equal(bwt_text, string_text)
-        ):
-            self.trajectory_string.text = bwt_text
+    @classmethod
+    def from_bwt(
+        cls,
+        trajectory_string: TrajectoryString,
+        bwt_result: BWTResult,
+        first_trajectory_id: int = 0,
+        **cinct_kwargs: object,
+    ) -> "Partition":
+        """Build the CiNCT index of a trajectory string from its BWT artefacts."""
+        index = CiNCT(bwt_result, **cinct_kwargs)  # type: ignore[arg-type]
+        return cls(
+            index=index,
+            trajectory_offsets=np.asarray(trajectory_string.trajectory_offsets, dtype=np.int64),
+            trajectory_lengths=np.asarray(trajectory_string.trajectory_lengths, dtype=np.int64),
+            first_trajectory_id=first_trajectory_id,
+            suffix_array=None if index.has_sa_samples else bwt_result.suffix_array,
+        )
+
+    @classmethod
+    def from_arrays(
+        cls, arrays: Mapping[str, np.ndarray], first_trajectory_id: int = 0
+    ) -> "Partition":
+        """Restore a partition from :meth:`arrays` (nothing is rebuilt)."""
+        return cls(
+            index=CiNCT.from_arrays(arrays),
+            trajectory_offsets=arrays["trajectory_offsets"],
+            trajectory_lengths=arrays["trajectory_lengths"],
+            first_trajectory_id=first_trajectory_id,
+            suffix_array=arrays.get("suffix_array"),
+        )
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The index's arrays plus the trajectory layout (and an unsampled SA)."""
+        out = self.index.arrays()
+        out["trajectory_offsets"] = self.trajectory_offsets
+        out["trajectory_lengths"] = self.trajectory_lengths
+        if self.suffix_array is not None:
+            out["suffix_array"] = self.suffix_array
+        return out
+
+    @property
+    def n_trajectories(self) -> int:
+        """Number of trajectories indexed by this partition."""
+        return int(self.trajectory_lengths.size)
+
+    def occurrence_positions(self, sp: int, ep: int) -> list[int]:
+        """Text positions of the suffix range ``[sp, ep)``.
+
+        Sampled indexes locate with the batched LF walk to the sampled rows;
+        an unsampled one reads its full suffix array.
+        """
+        if self.suffix_array is None:
+            return self.index.locate_many(range(sp, ep))
+        return [int(v) for v in self.suffix_array[sp:ep]]
+
+    def trajectory_string(self, alphabet: Alphabet) -> TrajectoryString:
+        """The indexed trajectory string, decoded from the index (Algorithm 4)."""
+        c = self.index.c_array
+        separators = self.occurrence_positions(int(c[SEP_SYMBOL]), int(c[SEP_SYMBOL + 1]))
+        return TrajectoryString(
+            text=self.index.decode_text(np.asarray(separators, dtype=np.int64)),
+            alphabet=alphabet,
+            trajectory_lengths=self.trajectory_lengths.tolist(),
+            trajectory_offsets=self.trajectory_offsets.tolist(),
+        )
 
     def size_in_bits(self) -> int:
         """Index size of this partition (the succinct structures only)."""
         return self.index.size_in_bits()
-
-    def retained_bits(self) -> int:
-        """Bits of raw artefacts retained alongside the succinct index.
-
-        Counts the trajectory text exactly once (the dedup in
-        ``__post_init__`` makes the string and the BWT share one buffer) plus
-        the BWT/suffix-array arrays kept for linear-time persistence.
-        """
-
-        def _bits(array: np.ndarray) -> int:
-            return int(array.size) * int(array.itemsize) * 8
-
-        bits = _bits(self.trajectory_string.text)
-        if self.bwt_result is not None:
-            if self.bwt_result.text is not self.trajectory_string.text:
-                bits += _bits(self.bwt_result.text)
-            bits += _bits(self.bwt_result.bwt)
-            bits += _bits(self.bwt_result.suffix_array)
-        return bits
 
 
 @dataclass(frozen=True)
@@ -518,7 +549,7 @@ class PartitionedCiNCT:
     def _add_batch_partition(self, batch: list[list[Hashable]]) -> Partition:
         first_id = self.n_trajectories
         trajectory_string = build_trajectory_string(batch, alphabet=self._alphabet)
-        partition = self._build_partition(trajectory_string, len(batch), first_id)
+        partition = self._build_partition(trajectory_string, first_id)
         with self._lock:
             self._partitions = self._partitions + (partition,)
             self._snapshot = None
@@ -540,11 +571,11 @@ class PartitionedCiNCT:
         """Reassemble a partitioned index from already-built partitions.
 
         This is the restore path used by the universal persistence layer: the
-        partitions arrive rebuilt from their stored BWT artefacts and are
-        installed as-is — nothing is decoded eagerly; tiered merges and
-        :meth:`consolidate` gather trajectory text lazily from the partition
-        strings when (and only when) they run.  A persisted tail is restored
-        separately via :meth:`restore_tail`.
+        partitions arrive restored from their archives and are installed
+        as-is — nothing is decoded eagerly; tiered merges and
+        :meth:`consolidate` decode trajectory text from the indexes when (and
+        only when) they run.  A persisted tail is restored separately via
+        :meth:`restore_tail`.
         """
         index = cls(
             block_size=block_size,
@@ -580,7 +611,7 @@ class PartitionedCiNCT:
         """Restore the mutable tail from persisted arrays (load path).
 
         ``text`` is the tail body without the ``#`` terminator, exactly as
-        :meth:`tail_arrays` emits it.  Installing a tail force-enables the
+        ``tail.npz`` stores it.  Installing a tail force-enables the
         tail tier even when the thresholds were not set (a saved tail must
         stay queryable after reload regardless of config drift).
         """
@@ -594,28 +625,17 @@ class PartitionedCiNCT:
             self._tail = _MutableTail.from_arrays(text, lengths, first_trajectory_id)
             self._snapshot = None
 
-    def tail_arrays(self) -> tuple[np.ndarray, list[int], int] | None:
-        """Persistable ``(text, lengths, first_trajectory_id)`` of the tail."""
-        with self._lock:
-            if self._tail is None or self._tail.n_trajectories == 0:
-                return None
-            tail = self._tail
-            return (
-                tail._buffer[: tail._cursor].copy(),
-                list(tail._lengths),
-                tail.first_trajectory_id,
-            )
-
     def consolidate(self) -> Partition:
         """Rebuild a single partition over all accumulated trajectories.
 
-        The trajectory text is gathered by concatenating the retained
-        per-partition strings (and the tail), so the raw fleet is never
-        materialised as edge lists.
+        Each partition's text is decoded from its index by a batched
+        inverse walk (:meth:`Partition.trajectory_string`) and concatenated
+        with the tail's, so the raw fleet is never materialised as edge
+        lists.
         """
         self.wait_for_compaction()
         with self._lock:
-            pieces = [partition.trajectory_string for partition in self._partitions]
+            pieces = [p.trajectory_string(self._alphabet) for p in self._partitions]
             tail_pieces = 0
             if self._tail is not None and self._tail.n_trajectories:
                 pieces.append(
@@ -624,9 +644,8 @@ class PartitionedCiNCT:
                 tail_pieces = self._tail.n_trajectories
             if not pieces:
                 raise ConstructionError("nothing to consolidate: no trajectories were added")
-            total = sum(len(piece.trajectory_lengths) for piece in pieces)
             merged = concatenate_trajectory_strings(self._alphabet, pieces)
-            partition = self._build_partition(merged, total, 0)
+            partition = self._build_partition(merged, 0)
             self._partitions = (partition,)
             if self._tail is not None and tail_pieces:
                 self._tail.drop_prefix(tail_pieces)
@@ -652,13 +671,10 @@ class PartitionedCiNCT:
             )
             left, right = parts[best], parts[best + 1]
         merged = concatenate_trajectory_strings(
-            self._alphabet, [left.trajectory_string, right.trajectory_string]
+            self._alphabet,
+            [left.trajectory_string(self._alphabet), right.trajectory_string(self._alphabet)],
         )
-        partition = self._build_partition(
-            merged,
-            left.n_trajectories + right.n_trajectories,
-            left.first_trajectory_id,
-        )
+        partition = self._build_partition(merged, left.first_trajectory_id)
         with self._lock:
             current = list(self._partitions)
             for i, candidate in enumerate(current):
@@ -716,7 +732,7 @@ class PartitionedCiNCT:
         started = time.perf_counter()
         swapped = False
         try:
-            partition = self._build_partition(sealed, k, first_id)
+            partition = self._build_partition(sealed, first_id)
             with self._lock:
                 maybe_crash_save(COMPACTION_SWAP_STAGE)
                 assert self._tail is not None
@@ -746,27 +762,18 @@ class PartitionedCiNCT:
             if listener is not None:
                 listener()
 
-    def _build_partition(
-        self, trajectory_string: TrajectoryString, n_trajectories: int, first_id: int
-    ) -> Partition:
+    def _build_partition(self, trajectory_string: TrajectoryString, first_id: int) -> Partition:
         started = time.perf_counter()
         bwt_result = burrows_wheeler_transform(
             trajectory_string.text, sigma=self._alphabet.sigma
         )
         bwt_seconds = time.perf_counter() - started
-        index = CiNCT(
-            bwt_result,
-            block_size=self.block_size,
-            **self._cinct_kwargs,  # type: ignore[arg-type]
+        partition = Partition.from_bwt(
+            trajectory_string, bwt_result, first_id,
+            block_size=self.block_size, **self._cinct_kwargs,
         )
-        index.construction.bwt_seconds = bwt_seconds
-        return Partition(
-            index=index,
-            trajectory_string=trajectory_string,
-            n_trajectories=n_trajectories,
-            first_trajectory_id=first_id,
-            bwt_result=bwt_result,
-        )
+        partition.index.construction.bwt_seconds = bwt_seconds
+        return partition
 
     # ------------------------------------------------------------------ #
     # inspection
@@ -801,15 +808,6 @@ class PartitionedCiNCT:
         bits = sum(partition.size_in_bits() for partition in snap.partitions)
         if snap.tail is not None:
             bits += snap.tail.scanner.size_in_bits()
-        return bits
-
-    def retained_bits(self) -> int:
-        """Raw artefact bits kept beyond the succinct indexes (text once)."""
-        snap = self.snapshot()
-        bits = sum(partition.retained_bits() for partition in snap.partitions)
-        if snap.tail is not None:
-            text = snap.tail.trajectory_string.text
-            bits += int(text.size) * int(text.itemsize) * 8
         return bits
 
     def total_symbols(self) -> int:

@@ -34,17 +34,16 @@ class _RankStructure(Protocol):
 class CorrectionTerms:
     """The per-edge correction terms ``Z_{w'w}`` of Theorem 2.
 
-    :attr:`by_slot` holds the same terms aligned with the edge slots of the
+    The terms are held by slot, aligned with the edge slots of the
     :class:`~repro.core.rml.RMLFunction` they were computed for, so a batch
-    of PseudoRank corrections is one gather.
+    of PseudoRank corrections is one gather and a single term is one slot
+    lookup.
     """
 
-    def __init__(
-        self, terms: dict[tuple[int, int], int], text_length: int, by_slot: np.ndarray
-    ):
-        self._terms = terms
-        self._text_length = text_length
+    def __init__(self, rml: RMLFunction, by_slot: np.ndarray, text_length: int):
+        self._rml = rml
         self._by_slot = by_slot
+        self._text_length = text_length
 
     @property
     def by_slot(self) -> np.ndarray:
@@ -53,20 +52,20 @@ class CorrectionTerms:
 
     def get(self, context: int, target: int) -> int:
         """Return ``Z_{context, target}``; raises for unobserved transitions."""
-        try:
-            return self._terms[(int(context), int(target))]
-        except KeyError:
-            raise QueryError(f"no correction term for edge {context} -> {target}") from None
+        slot = self._rml.edge_slot(target, context)
+        if slot < 0:
+            raise QueryError(f"no correction term for edge {context} -> {target}")
+        return int(self._by_slot[slot])
 
     def __contains__(self, edge: tuple[int, int]) -> bool:
-        return (int(edge[0]), int(edge[1])) in self._terms
+        return self._rml.edge_slot(edge[1], edge[0]) >= 0
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return int(self._by_slot.size)
 
     def size_in_bits(self) -> int:
         """Each term is charged ``ceil(lg n)`` bits, stored once per ET-graph edge."""
-        return len(self._terms) * bits_needed(max(self._text_length - 1, 1))
+        return len(self) * bits_needed(max(self._text_length - 1, 1))
 
 
 def _ranks_at(sequence: np.ndarray, symbols: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -101,8 +100,7 @@ def compute_correction_terms(
     labels = np.arange(len(rml)) - offsets[contexts] + 1
     boundaries = c_array[contexts]
     by_slot = _ranks_at(labelled_bwt, labels, boundaries) - _ranks_at(bwt, targets, boundaries)
-    terms = dict(zip(zip(contexts.tolist(), targets.tolist()), by_slot.tolist()))
-    return CorrectionTerms(terms, text_length=int(bwt.size), by_slot=by_slot)
+    return CorrectionTerms(rml, by_slot, text_length=int(bwt.size))
 
 
 def pseudo_rank(

@@ -29,38 +29,32 @@ LabelingStrategy = Literal["bigram", "random", "unigram"]
 class RMLFunction:
     """A concrete relative-movement-labelling function ``phi``.
 
-    Instances are built by :func:`build_rml`; they map ``(context, target)``
-    edges to labels (>= 1) and back.
+    Instances are built by :func:`build_rml` (or restored from the two slot
+    arrays of a saved index); they map ``(context, target)`` edges to labels
+    (>= 1) and back.
 
-    Besides the scalar lookups, the function is laid out as arrays for the
-    batched query paths.  Every edge has a **slot**: the edges of context
-    ``w'`` fill slots ``context_offsets[w'] .. context_offsets[w' + 1] - 1``
-    in label order, so the edge labelled ``eta`` sits at slot
-    ``context_offsets[w'] + eta - 1``.  :attr:`targets` is indexed by slot,
-    and per-edge data computed elsewhere (the PseudoRank correction terms) is
-    aligned with the same slots.
+    The function is held as two arrays.  Every edge has a **slot**: the
+    edges of context ``w'`` fill slots ``context_offsets[w'] ..
+    context_offsets[w' + 1] - 1`` in label order, so the edge labelled
+    ``eta`` sits at slot ``context_offsets[w'] + eta - 1``.  :attr:`targets`
+    is indexed by slot, and per-edge data computed elsewhere (the PseudoRank
+    correction terms) is aligned with the same slots.  An edge's slot is
+    found by one ``searchsorted`` over the sorted edge keys.
     """
 
-    def __init__(self, label_of: dict[tuple[int, int], int], target_of: dict[tuple[int, int], int]):
-        self._label_of = label_of
-        self._target_of = target_of
-        self._max_label = max(label_of.values(), default=0)
-
-        n_edges = len(label_of)
-        contexts = np.fromiter((c for c, _ in label_of), dtype=np.int64, count=n_edges)
-        targets = np.fromiter((t for _, t in label_of), dtype=np.int64, count=n_edges)
-        labels = np.fromiter(label_of.values(), dtype=np.int64, count=n_edges)
+    def __init__(self, context_offsets: np.ndarray, targets: np.ndarray):
+        degrees = np.diff(context_offsets)
+        if context_offsets.size == 0 or context_offsets[0] != 0 or (degrees < 0).any() or (
+            context_offsets[-1] != targets.size
+        ):
+            raise ConstructionError("the labels of every context must be 1 .. its out-degree")
+        self._context_offsets = context_offsets
+        self._targets = targets
+        self._max_label = int(degrees.max(initial=0))
         # Symbols are non-negative, so ``context * _key_base + target`` is a
         # collision-free key for every pair of in-range symbols.
-        self._key_base = max(int(contexts.max()), int(targets.max())) + 1 if n_edges else 1
-        by_slot = np.lexsort((labels, contexts))
-        self._context_offsets = np.zeros(self._key_base + 1, dtype=np.int64)
-        np.cumsum(np.bincount(contexts, minlength=self._key_base), out=self._context_offsets[1:])
-        ranks = np.arange(by_slot.size) - self._context_offsets[contexts[by_slot]] + 1
-        if not np.array_equal(labels[by_slot], ranks):
-            raise ConstructionError("the labels of every context must be 1 .. its out-degree")
-        self._targets = targets[by_slot]
-        keys = contexts[by_slot] * self._key_base + self._targets
+        self._key_base = int(context_offsets.size) - 1
+        keys = np.repeat(np.arange(self._key_base), degrees) * self._key_base + targets
         self._key_order = np.argsort(keys)
         self._sorted_keys = keys[self._key_order]
 
@@ -82,8 +76,8 @@ class RMLFunction:
     def edge_slots(self, targets: np.ndarray, contexts: np.ndarray) -> np.ndarray:
         """Slot of each ``(context, target)`` edge; ``-1`` where ``phi`` is undefined.
 
-        The vectorized :meth:`has_label`/:meth:`label`: one ``searchsorted``
-        over the sorted edge keys answers every pair at once.
+        The vectorized :meth:`edge_slot`: one ``searchsorted`` over the
+        sorted edge keys answers every pair at once.
         """
         targets = np.asarray(targets, dtype=np.int64)
         contexts = np.asarray(contexts, dtype=np.int64)
@@ -95,8 +89,20 @@ class RMLFunction:
         found = np.minimum(np.searchsorted(self._sorted_keys, keys), self._sorted_keys.size - 1)
         return np.where(self._sorted_keys[found] == keys, self._key_order[found], -1)
 
+    def edge_slot(self, target: int, context: int) -> int:
+        """Slot of the edge ``(context, target)``; ``-1`` where ``phi`` is undefined."""
+        target, context = int(target), int(context)
+        base = self._key_base
+        if not (0 <= target < base and 0 <= context < base):
+            return -1
+        key = context * base + target
+        i = int(self._sorted_keys.searchsorted(key))
+        if i < self._sorted_keys.size and int(self._sorted_keys[i]) == key:
+            return int(self._key_order[i])
+        return -1
+
     def label_slots(self, labels: np.ndarray, contexts: np.ndarray) -> np.ndarray:
-        """Slot of each ``(context, label)`` edge: the vectorized :meth:`decode`.
+        """Slot of each ``(context, label)`` edge: the vectorized :meth:`label_slot`.
 
         ``targets[label_slots(labels, contexts)]`` decodes every label at
         once; an undefined label raises :class:`QueryError` like the scalar
@@ -117,23 +123,29 @@ class RMLFunction:
             )
         return first + labels - 1
 
+    def label_slot(self, label: int, context: int) -> int:
+        """Slot of the edge of ``context`` labelled ``label``; raises if there is none."""
+        label, context = int(label), int(context)
+        if 0 <= context < self._key_base:
+            first, end = self._context_offsets[context : context + 2].tolist()
+            if 1 <= label <= end - first:
+                return first + label - 1
+        raise QueryError(f"label {label} is undefined for context {context}")
+
     def label(self, target: int, context: int) -> int:
         """``phi(target | context)``; raises if the transition was never observed."""
-        try:
-            return self._label_of[(int(context), int(target))]
-        except KeyError:
-            raise QueryError(f"phi({target} | {context}) is undefined (no ET-graph edge)") from None
+        slot = self.edge_slot(target, context)
+        if slot < 0:
+            raise QueryError(f"phi({target} | {context}) is undefined (no ET-graph edge)")
+        return slot - int(self._context_offsets[int(context)]) + 1
 
     def has_label(self, target: int, context: int) -> bool:
         """True when ``phi(target | context)`` is defined."""
-        return (int(context), int(target)) in self._label_of
+        return self.edge_slot(target, context) >= 0
 
     def decode(self, label: int, context: int) -> int:
         """Inverse map: the target ``w`` with ``phi(w | context) == label``."""
-        try:
-            return self._target_of[(int(context), int(label))]
-        except KeyError:
-            raise QueryError(f"label {label} is undefined for context {context}") from None
+        return int(self._targets[self.label_slot(label, context)])
 
     def labels_for_context(self, context: int) -> dict[int, int]:
         """Return ``{target: label}`` for every out-neighbour of ``context``."""
@@ -144,7 +156,7 @@ class RMLFunction:
         return {target: label for label, target in enumerate(self._targets[first:end].tolist(), 1)}
 
     def __len__(self) -> int:
-        return len(self._label_of)
+        return int(self._targets.size)
 
 
 def build_rml(
@@ -186,12 +198,10 @@ def build_rml(
         # One seeded shuffle per context, in context order.
         for first, end in zip(firsts.tolist(), np.append(firsts[1:], targets.size).tolist()):
             rng.shuffle(targets[first:end])  # type: ignore[union-attr]
-    labels = np.arange(targets.size) - np.repeat(firsts, np.diff(firsts, append=targets.size)) + 1
-    contexts_list, targets_list, labels_list = contexts.tolist(), targets.tolist(), labels.tolist()
-    return RMLFunction(
-        dict(zip(zip(contexts_list, targets_list), labels_list)),
-        dict(zip(zip(contexts_list, labels_list), targets_list)),
-    )
+    key_base = max(int(contexts.max()), int(targets.max())) + 1 if targets.size else 1
+    context_offsets = np.zeros(key_base + 1, dtype=np.int64)
+    np.cumsum(np.bincount(contexts, minlength=key_base), out=context_offsets[1:])
+    return RMLFunction(context_offsets, targets)
 
 
 def label_bwt(

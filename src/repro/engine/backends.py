@@ -8,7 +8,7 @@ behind the uniform :class:`EngineBackend` surface the
 * symbol-level ``count`` / ``contains`` / ``count_many`` (the facade encodes
   raw edge paths before calling in);
 * ``locate_matches`` resolving every occurrence to travel-order coordinates
-  via the shared :func:`~repro.queries.strict_path.resolve_text_position`;
+  via the shared :func:`~repro.queries.strict_path.resolve_text_positions`;
 * Algorithm-4 ``extract`` where a suffix structure exists;
 * ``save_state`` / ``load`` hooks dispatched by the universal persistence
   layer in :mod:`repro.io.index_io`.
@@ -36,7 +36,7 @@ from ..exceptions import EMPTY_INDEX_MESSAGE, ConstructionError, DatasetError, Q
 from ..fmindex.base import FMIndexBase
 from ..fmindex.linear_scan import LinearScanIndex
 from ..fmindex.variants import available_baselines, build_baseline
-from ..queries.strict_path import resolve_text_position
+from ..queries.strict_path import resolve_text_positions
 from ..strings.alphabet import Alphabet
 from ..strings.bwt import BWTResult, burrows_wheeler_transform
 from ..strings.trajectory_string import TrajectoryString, build_trajectory_string
@@ -47,20 +47,9 @@ from .registry import BackendSpec, register_backend
 RawMatch = tuple[int, int, int]
 
 
-def _cinct_occurrence_positions(
-    index: CiNCT, get_bwt: Callable[[], BWTResult], sp: int, ep: int
-) -> list[int]:
-    """Occurrence positions for a CiNCT suffix range ``[sp, ep)``.
-
-    Sampled indexes locate with the batched LF-walk to the sampled rows;
-    unsampled ones fall back to the retained suffix array (which the engine
-    keeps for linear-time persistence anyway), so locate/strict-path work
-    without ``sa_sample_rate``.  ``get_bwt`` is only called on the fallback
-    path.
-    """
-    if index.has_sa_samples:
-        return index.locate_many(range(sp, ep))
-    return [int(v) for v in get_bwt().suffix_array[sp:ep]]
+def _cinct_kwargs(config: EngineConfig) -> dict[str, object]:
+    """The :class:`~repro.core.cinct.CiNCT` keyword arguments a config selects."""
+    return {"labeling_strategy": config.labeling_strategy, "sa_sample_rate": config.sa_sample_rate}
 
 
 class EngineBackend(abc.ABC):
@@ -197,14 +186,57 @@ class EngineBackend(abc.ABC):
 # single-trajectory-string backends
 # --------------------------------------------------------------------------- #
 class _SingleStringBackend(EngineBackend):
-    """Shared plumbing for backends indexing one concatenated string."""
+    """Shared plumbing for backends indexing one concatenated string.
 
-    def __init__(self, trajectory_string: TrajectoryString):
-        self._trajectory_string = trajectory_string
+    Locate resolves text positions through the trajectory layout (the
+    offset and length of every stored trajectory); the string itself is
+    whatever the subclass keeps.
+    """
+
+    def __init__(
+        self, alphabet: Alphabet, trajectory_offsets: np.ndarray, trajectory_lengths: np.ndarray
+    ):
+        self._alphabet = alphabet
+        self._trajectory_offsets = trajectory_offsets
+        self._trajectory_lengths = trajectory_lengths
 
     @property
     def alphabet(self) -> Alphabet:
-        return self._trajectory_string.alphabet
+        return self._alphabet
+
+    @property
+    def n_trajectories(self) -> int:
+        return len(self._trajectory_lengths)
+
+    @abc.abstractmethod
+    def _occurrence_positions(
+        self, pattern: Sequence[int], interval_cache=None
+    ) -> list[int]:
+        """Start positions (in the stored text) of the reversed pattern."""
+
+    def locate_matches(
+        self, pattern: Sequence[int], interval_cache=None
+    ) -> list[RawMatch]:
+        return sorted(
+            resolve_text_positions(
+                self._trajectory_offsets,
+                self._trajectory_lengths,
+                self._occurrence_positions(pattern, interval_cache),
+                len(pattern),
+            )
+        )
+
+
+class _StoredStringBackend(_SingleStringBackend):
+    """A backend that keeps its trajectory string (FM baselines, linear scan)."""
+
+    def __init__(self, trajectory_string: TrajectoryString):
+        super().__init__(
+            trajectory_string.alphabet,
+            np.asarray(trajectory_string.trajectory_offsets, dtype=np.int64),
+            np.asarray(trajectory_string.trajectory_lengths, dtype=np.int64),
+        )
+        self._trajectory_string = trajectory_string
 
     @property
     def trajectory_string(self) -> TrajectoryString:
@@ -214,31 +246,6 @@ class _SingleStringBackend(EngineBackend):
     @property
     def length(self) -> int:
         return self._trajectory_string.length
-
-    @property
-    def n_trajectories(self) -> int:
-        return self._trajectory_string.n_trajectories
-
-    def _occurrence_positions(
-        self, pattern: Sequence[int], interval_cache=None
-    ) -> list[int]:
-        """Start positions (in the stored text) of the reversed pattern."""
-        raise QueryError(
-            f"locate is not supported by the {self.spec_name!r} backend"
-        )
-
-    def locate_matches(
-        self, pattern: Sequence[int], interval_cache=None
-    ) -> list[RawMatch]:
-        matches: list[RawMatch] = []
-        for position in self._occurrence_positions(pattern, interval_cache):
-            resolved = resolve_text_position(
-                self._trajectory_string, int(position), len(pattern)
-            )
-            if resolved is not None:
-                matches.append(resolved)
-        matches.sort()
-        return matches
 
     def _string_meta(self) -> dict[str, object]:
         return {
@@ -261,29 +268,15 @@ class _SingleStringBackend(EngineBackend):
 
 
 class _BWTBackend(_SingleStringBackend):
-    """Shared plumbing for BWT-based backends (CiNCT and the FM baselines)."""
+    """Shared query plumbing for BWT-based backends (CiNCT and the FM baselines)."""
 
     supports_interval_sharing = True
-
-    def __init__(
-        self,
-        trajectory_string: TrajectoryString,
-        bwt_result: BWTResult,
-        index: CiNCT | FMIndexBase,
-    ):
-        super().__init__(trajectory_string)
-        self._bwt_result = bwt_result
-        self._index = index
+    _index: CiNCT | FMIndexBase
 
     @property
     def index(self) -> CiNCT | FMIndexBase:
         """The wrapped index structure."""
         return self._index
-
-    @property
-    def bwt_result(self) -> BWTResult:
-        """The BWT artefacts the index was built from (kept for persistence)."""
-        return self._bwt_result
 
     def count(self, pattern: Sequence[int]) -> int:
         return self._index.count(pattern)
@@ -305,12 +298,6 @@ class _BWTBackend(_SingleStringBackend):
     def size_in_bits(self) -> int:
         return self._index.size_in_bits()
 
-    def save_state(self, directory: Path) -> dict[str, object]:
-        from ..io.index_io import save_bwt_result
-
-        save_bwt_result(self._bwt_result, directory / "bwt.npz")
-        return self._string_meta()
-
     @staticmethod
     def _build_artefacts(
         trajectories: Sequence[Sequence[Hashable]],
@@ -321,33 +308,23 @@ class _BWTBackend(_SingleStringBackend):
         )
         return trajectory_string, bwt_result
 
-    @staticmethod
-    def _load_artefacts(
-        directory: Path,
-        meta: dict[str, object],
-        alphabet: Alphabet,
-        mmap: bool = False,
-    ) -> tuple[TrajectoryString, BWTResult]:
-        from ..io.index_io import load_bwt_result
-
-        bwt_result = load_bwt_result(
-            directory / "bwt.npz", mmap_mode="r" if mmap else None
-        )
-        trajectory_string = _SingleStringBackend._string_from_meta(
-            bwt_result.text, alphabet, meta
-        )
-        return trajectory_string, bwt_result
-
 
 class CiNCTBackend(_BWTBackend):
-    """The paper's compressed index (RML + PseudoRank over an HWT)."""
+    """The paper's compressed index (RML + PseudoRank over an HWT).
+
+    It holds one :class:`~repro.core.partitioned.Partition`, saved as one
+    archive of the arrays its queries read; a load builds nothing.
+    """
 
     spec_name = "cinct"
+    ARCHIVE = "cinct.npz"
 
-    def __init__(
-        self, trajectory_string: TrajectoryString, bwt_result: BWTResult, index: CiNCT
-    ):
-        super().__init__(trajectory_string, bwt_result, index)
+    def __init__(self, alphabet: Alphabet, partition: Partition):
+        super().__init__(
+            alphabet, partition.trajectory_offsets, partition.trajectory_lengths
+        )
+        self._partition = partition
+        self._index = partition.index
 
     @classmethod
     def build(
@@ -355,7 +332,10 @@ class CiNCTBackend(_BWTBackend):
     ) -> "CiNCTBackend":
         """Construct the backend from raw trajectories."""
         trajectory_string, bwt_result = cls._build_artefacts(trajectories)
-        return cls(trajectory_string, bwt_result, cls._make_index(bwt_result, config))
+        partition = Partition.from_bwt(
+            trajectory_string, bwt_result, block_size=config.block_size, **_cinct_kwargs(config)
+        )
+        return cls(trajectory_string.alphabet, partition)
 
     @classmethod
     def load(
@@ -366,39 +346,40 @@ class CiNCTBackend(_BWTBackend):
         alphabet: Alphabet,
         mmap: bool = False,
     ) -> "CiNCTBackend":
-        """Rebuild the backend from persisted state (no suffix re-sorting).
+        """Restore the backend from its archive (``mmap=True`` maps it read-only)."""
+        from ..io.npzutil import load_npz_arrays
 
-        ``mmap=True`` keeps the BWT artefacts as read-only memory maps into
-        the archive (the succinct structures still rebuild in linear time).
-        """
-        trajectory_string, bwt_result = cls._load_artefacts(
-            directory, meta, alphabet, mmap=mmap
-        )
-        return cls(trajectory_string, bwt_result, cls._make_index(bwt_result, config))
+        arrays = load_npz_arrays(directory / cls.ARCHIVE, mmap_mode="r" if mmap else None)
+        return cls(alphabet, Partition.from_arrays(arrays))
 
-    @staticmethod
-    def _make_index(bwt_result: BWTResult, config: EngineConfig) -> CiNCT:
-        return CiNCT(
-            bwt_result,
-            block_size=config.block_size,
-            labeling_strategy=config.labeling_strategy,  # type: ignore[arg-type]
-            sa_sample_rate=config.sa_sample_rate,
-        )
+    @property
+    def length(self) -> int:
+        return self._index.length
+
+    @property
+    def trajectory_string(self) -> TrajectoryString:
+        """The indexed trajectory string, decoded from the index on each call."""
+        return self._partition.trajectory_string(self._alphabet)
 
     def _occurrence_positions(
         self, pattern: Sequence[int], interval_cache=None
     ) -> list[int]:
-        index = self._index
-        assert isinstance(index, CiNCT)
-        found = index.suffix_range(pattern, interval_cache=interval_cache)
+        found = self._index.suffix_range(pattern, interval_cache=interval_cache)
         if found is None:
             return []
-        sp, ep = found
-        return _cinct_occurrence_positions(index, lambda: self._bwt_result, sp, ep)
+        return self._partition.occurrence_positions(*found)
+
+    def save_state(self, directory: Path) -> dict[str, object]:
+        np.savez(directory / self.ARCHIVE, **self._partition.arrays())
+        return {}
 
 
-class FMBaselineBackend(_BWTBackend):
-    """Any Table-II FM-index baseline (UFMI, ICB-WM, ICB-Huff, FM-GMR, FM-AP-HYB)."""
+class FMBaselineBackend(_StoredStringBackend, _BWTBackend):
+    """Any Table-II FM-index baseline (UFMI, ICB-WM, ICB-Huff, FM-GMR, FM-AP-HYB).
+
+    It keeps the BWT artefacts (text, BWT, full suffix array) in ``bwt.npz``
+    and rebuilds the baseline from them on load.
+    """
 
     def __init__(
         self,
@@ -407,9 +388,16 @@ class FMBaselineBackend(_BWTBackend):
         index: FMIndexBase,
         variant: str,
     ):
-        super().__init__(trajectory_string, bwt_result, index)
+        super().__init__(trajectory_string)
+        self._bwt_result = bwt_result
+        self._index = index
         self.spec_name = variant.lower()
         self.variant = variant
+
+    @property
+    def bwt_result(self) -> BWTResult:
+        """The BWT artefacts the index was built from (kept for persistence)."""
+        return self._bwt_result
 
     @classmethod
     def build(
@@ -434,9 +422,12 @@ class FMBaselineBackend(_BWTBackend):
         mmap: bool = False,
     ) -> "FMBaselineBackend":
         """Rebuild the named baseline from persisted state."""
-        trajectory_string, bwt_result = cls._load_artefacts(
-            directory, meta, alphabet, mmap=mmap
+        from ..io.index_io import load_bwt_result
+
+        bwt_result = load_bwt_result(
+            directory / "bwt.npz", mmap_mode="r" if mmap else None
         )
+        trajectory_string = cls._string_from_meta(bwt_result.text, alphabet, meta)
         index = build_baseline(variant, bwt_result, block_size=config.block_size)
         return cls(trajectory_string, bwt_result, index, variant)
 
@@ -449,8 +440,14 @@ class FMBaselineBackend(_BWTBackend):
         sp, ep = found
         return [int(v) for v in self._bwt_result.suffix_array[sp:ep]]
 
+    def save_state(self, directory: Path) -> dict[str, object]:
+        from ..io.index_io import save_bwt_result
 
-class LinearScanBackend(_SingleStringBackend):
+        save_bwt_result(self._bwt_result, directory / "bwt.npz")
+        return self._string_meta()
+
+
+class LinearScanBackend(_StoredStringBackend):
     """Boyer–Moore–Horspool scanning of the uncompressed trajectory string."""
 
     spec_name = "linear-scan"
@@ -546,7 +543,7 @@ class PartitionedBackend(EngineBackend):
             tail_max_symbols=config.tail_max_symbols,
             tail_max_trajectories=config.tail_max_trajectories,
             compaction=config.compaction,
-            **cls._cinct_kwargs(config),
+            **_cinct_kwargs(config),
         )
         trajectories = list(trajectories)
         if trajectories:
@@ -562,43 +559,21 @@ class PartitionedBackend(EngineBackend):
         alphabet: Alphabet,
         mmap: bool = False,
     ) -> "PartitionedBackend":
-        """Rebuild every partition from its persisted BWT artefacts.
+        """Restore every partition from its archive and the tail from ``tail.npz``.
 
-        Like the single-index backends, the succinct structures come back in
-        linear time from the stored arrays — the suffix sort is never re-run.
-        ``mmap=True`` maps each partition archive read-only; growth after the
-        load builds *new* partitions from new in-memory arrays and never
+        Partition archives are restored like the ``cinct`` backend's, with no
+        construction step; ``mmap=True`` maps them read-only.  Growth after
+        the load builds *new* partitions from new in-memory arrays and never
         writes through the mapped pages (they would raise if it tried).
         """
-        from ..io.index_io import load_bwt_result
+        from ..io.npzutil import load_npz_arrays
 
         partitions: list[Partition] = []
         for entry in meta.get("partitions", []):  # type: ignore[union-attr]
             archive_path = directory / str(entry["archive"])
-            if not archive_path.exists():
-                raise DatasetError(f"partition archive not found: {archive_path}")
-            bwt_result = load_bwt_result(
-                archive_path, mmap_mode="r" if mmap else None
-            )
-            trajectory_string = TrajectoryString(
-                text=bwt_result.text,
-                alphabet=alphabet,
-                trajectory_lengths=[int(v) for v in entry["trajectory_lengths"]],
-                trajectory_offsets=[int(v) for v in entry["trajectory_offsets"]],
-            )
-            index = CiNCT(
-                bwt_result,
-                block_size=config.block_size,
-                **cls._cinct_kwargs(config),
-            )
+            arrays = load_npz_arrays(archive_path, mmap_mode="r" if mmap else None)
             partitions.append(
-                Partition(
-                    index=index,
-                    trajectory_string=trajectory_string,
-                    n_trajectories=int(entry["n_trajectories"]),
-                    first_trajectory_id=int(entry["first_trajectory_id"]),
-                    bwt_result=bwt_result,
-                )
+                Partition.from_arrays(arrays, int(entry["first_trajectory_id"]))
             )
         partitioned = PartitionedCiNCT.from_parts(
             alphabet,
@@ -608,12 +583,10 @@ class PartitionedBackend(EngineBackend):
             tail_max_symbols=config.tail_max_symbols,
             tail_max_trajectories=config.tail_max_trajectories,
             compaction=config.compaction,
-            **cls._cinct_kwargs(config),
+            **_cinct_kwargs(config),
         )
         tail_meta = meta.get("tail")
         if tail_meta is not None:
-            from ..io.npzutil import load_npz_arrays
-
             tail_path = directory / str(tail_meta["archive"])  # type: ignore[index]
             if not tail_path.exists():
                 raise DatasetError(f"tail archive not found: {tail_path}")
@@ -626,13 +599,6 @@ class PartitionedBackend(EngineBackend):
                 int(tail_meta["first_trajectory_id"]),  # type: ignore[index]
             )
         return cls(partitioned)
-
-    @staticmethod
-    def _cinct_kwargs(config: EngineConfig) -> dict[str, object]:
-        kwargs: dict[str, object] = {"labeling_strategy": config.labeling_strategy}
-        if config.sa_sample_rate is not None:
-            kwargs["sa_sample_rate"] = config.sa_sample_rate
-        return kwargs
 
     @property
     def partitioned(self) -> PartitionedCiNCT:
@@ -692,43 +658,27 @@ class PartitionedBackend(EngineBackend):
             found = index.suffix_range(pattern, interval_cache=view)
             if found is None:
                 continue
-            sp, ep = found
-            positions = _cinct_occurrence_positions(
-                index, lambda: self._partition_bwt(partition), sp, ep
-            )
-            for position in positions:
-                resolved = resolve_text_position(
-                    partition.trajectory_string, int(position), len(pattern)
-                )
-                if resolved is None:
-                    continue
-                local_index, start, end = resolved
+            for local_index, start, end in resolve_text_positions(
+                partition.trajectory_offsets,
+                partition.trajectory_lengths,
+                partition.occurrence_positions(*found),
+                len(pattern),
+            ):
                 matches.append((partition.first_trajectory_id + local_index, start, end))
         tail = snap.tail
         if tail is not None and largest < tail.scanner.sigma:
             # The uncompressed tier scans instead of backward-searching; the
             # resolved coordinates are identical to what the same trajectories
             # would yield once sealed into a partition.
-            for position in tail.scanner.occurrences(pattern):
-                resolved = resolve_text_position(
-                    tail.trajectory_string, int(position), len(pattern)
-                )
-                if resolved is None:
-                    continue
-                local_index, start, end = resolved
+            for local_index, start, end in resolve_text_positions(
+                np.asarray(tail.trajectory_string.trajectory_offsets),
+                np.asarray(tail.trajectory_string.trajectory_lengths),
+                tail.scanner.occurrences(pattern),
+                len(pattern),
+            ):
                 matches.append((tail.first_trajectory_id + local_index, start, end))
         matches.sort()
         return matches
-
-    @staticmethod
-    def _partition_bwt(partition: Partition) -> BWTResult:
-        if partition.bwt_result is None:
-            # Partitions assembled outside add_batch/consolidate may lack
-            # retained artefacts; recompute once and cache on the partition.
-            partition.bwt_result = burrows_wheeler_transform(
-                partition.trajectory_string.text, sigma=partition.index.sigma
-            )
-        return partition.bwt_result
 
     def add_batch(self, trajectories: Sequence[Sequence[Hashable]]) -> None:
         self._partitioned.add_batch(trajectories)
@@ -744,16 +694,12 @@ class PartitionedBackend(EngineBackend):
         self._partitioned.set_growth_listener(listener)
 
     def ingest_stats(self) -> dict[str, object] | None:
-        stats = self._partitioned.ingest_stats()
-        stats["retained_bits"] = self._partitioned.retained_bits()
-        return stats
+        return self._partitioned.ingest_stats()
 
     def wait_for_compaction(self, timeout: float | None = None) -> bool:
         return self._partitioned.wait_for_compaction(timeout)
 
     def save_state(self, directory: Path) -> dict[str, object]:
-        from ..io.index_io import save_bwt_result
-
         # One snapshot drives the whole save: a background compaction swap
         # mid-save cannot produce a manifest that mixes pre- and post-swap
         # tiers (the pre-swap view is itself complete and consistent).
@@ -761,19 +707,9 @@ class PartitionedBackend(EngineBackend):
         entries: list[dict[str, object]] = []
         for k, partition in enumerate(snap.partitions):
             archive = f"partition_{k}.npz"
-            save_bwt_result(self._partition_bwt(partition), directory / archive)
+            np.savez(directory / archive, **partition.arrays())
             entries.append(
-                {
-                    "archive": archive,
-                    "n_trajectories": int(partition.n_trajectories),
-                    "first_trajectory_id": int(partition.first_trajectory_id),
-                    "trajectory_lengths": [
-                        int(v) for v in partition.trajectory_string.trajectory_lengths
-                    ],
-                    "trajectory_offsets": [
-                        int(v) for v in partition.trajectory_string.trajectory_offsets
-                    ],
-                }
+                {"archive": archive, "first_trajectory_id": int(partition.first_trajectory_id)}
             )
         meta: dict[str, object] = {"partitions": entries}
         tail = snap.tail

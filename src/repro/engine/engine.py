@@ -55,6 +55,7 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
+from ..analysis.footprint import held_bytes
 from ..exceptions import (
     EMPTY_INDEX_MESSAGE,
     ConstructionError,
@@ -806,6 +807,14 @@ class TrajectoryEngine(ScalarQueryAPI):
         backends = sum(shard.backend.size_in_bits() for shard in self._present_shards())
         return backends + self.temporal_size_in_bits()
 
+    def held_bits(self) -> tuple[int, int]:
+        """``(private, mapped)`` bits of the arrays the shards' backends,
+        timestamp stores and temporal indexes hold (:func:`held_bytes`)."""
+        private, mapped = held_bytes(
+            *[(s.backend, s.timestamp_store, s._temporal) for s in self._present_shards()]
+        )
+        return private * 8, mapped * 8
+
     def temporal_size_in_bits(self) -> int:
         """Exact encoded size of the timestamp stores (0 without timestamps)."""
         return sum(
@@ -931,12 +940,14 @@ class TrajectoryEngine(ScalarQueryAPI):
         handlers (and the CLI's ``query --verbose``) read: ``engine``
         (``"single"`` / ``"sharded"``), ``backend``, ``num_shards``,
         ``n_trajectories``, ``length``, ``sigma``, ``epoch``, per-shard
-        ``epochs``, ``size_in_bits``, the summed ``cache`` and
+        ``epochs``, ``size_in_bits``, ``held_bits`` and ``mapped_bits``
+        (:meth:`held_bits`), the summed ``cache`` and
         ``interval_cache`` counters, the ``executor`` snapshot, the
         ``ingest`` rollup and the full :meth:`health` payload.  Every value
         is JSON-serializable.
         """
         health = self.health()
+        held, mapped = self.held_bits()
         return {
             "engine": health["engine"],
             "backend": self.backend_name,
@@ -947,6 +958,8 @@ class TrajectoryEngine(ScalarQueryAPI):
             "epoch": self.epoch,
             "epochs": list(self.epochs),
             "size_in_bits": self.size_in_bits(),
+            "held_bits": held,
+            "mapped_bits": mapped,
             "cache": self.cache_stats(),
             "interval_cache": self.interval_cache_stats(),
             "executor": self.executor_info(),
@@ -987,7 +1000,6 @@ class TrajectoryEngine(ScalarQueryAPI):
                 "last_unix": max(last_unix) if last_unix else None,
                 "tiered_merges": sum(int(c["tiered_merges"]) for c in compactions),
             },
-            "retained_bits": sum(int(s.get("retained_bits", 0)) for s in live),
             "shards": per_shard,
         }
 

@@ -7,8 +7,9 @@ provides two callables the engine and the persistence layer dispatch through:
 
 * ``factory(trajectories, config)`` builds a fresh
   :class:`~repro.engine.backends.EngineBackend` from raw edge trajectories;
-* ``loader(directory, meta, config)`` rebuilds one from the state a previous
-  :meth:`~repro.engine.backends.EngineBackend.save_state` call wrote to disk.
+* ``loader(directory, meta, config, alphabet, mmap)`` restores one from the
+  state a previous :meth:`~repro.engine.backends.EngineBackend.save_state`
+  call wrote to disk.
 
 Third-party backends can join the registry with :func:`register_backend`; the
 CLI, the comparison harness and the contract test suite all enumerate
@@ -27,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .config import EngineConfig
 
 BackendFactory = Callable[[Sequence[Sequence[Hashable]], "EngineConfig"], "EngineBackend"]
-#: ``loader(directory, meta, config, alphabet)`` — rebuilds a backend from disk.
+#: ``loader(directory, meta, config, alphabet, mmap=False)`` — restores a backend.
 BackendLoader = Callable[..., "EngineBackend"]
 
 

@@ -34,6 +34,14 @@ def unknown_segment_message(edge_id: object) -> str:
     return f"unknown road segment: {edge_id!r}"
 
 
+def unsupported_format_message(version: object, supported: int) -> str:
+    """Canonical message for a saved index in a format this build cannot read."""
+    return (
+        f"index format version {version!r} is not supported (this build reads "
+        f"format {supported}); rebuild the index from its trajectories"
+    )
+
+
 class ReproError(Exception):
     """Base class for every error raised by this library."""
 

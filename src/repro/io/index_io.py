@@ -1,29 +1,17 @@
-"""Persistence of BWT artefacts, CiNCT indexes, and whole engines.
+"""Persistence of whole engines, and of the FM baselines' BWT artefacts.
 
-Building a CiNCT index has one super-linear step — suffix-array construction —
-followed by a chain of strictly linear steps (ET-graph, RML, labelling,
-wavelet-tree packing; Section VI-G of the paper).  The persistence layer
-therefore stores
-
-* the BWT artefacts (text, BWT, suffix array, counts, ``C[]``) as a compressed
-  ``.npz`` archive, and
-* the index parameters plus the alphabet as a JSON sidecar,
-
-and reloading rebuilds the succinct structures in linear time from those
-arrays, never re-sorting suffixes.  This mirrors how the reference C++
-implementation persists the ``sdsl`` structures while remaining a plain,
-inspection-friendly on-disk format.
-
-Two generations of index persistence live here:
-
-* :func:`save_index` / :func:`load_index` — the universal layer: they
-  round-trip a whole :class:`~repro.engine.TrajectoryEngine` for *any*
-  registered backend by dispatching through the backend registry
-  (``engine.json`` + a compressed ``timestamps.npz`` written by the
-  :class:`~repro.temporal.TimestampStore` + backend-specific archives);
-* :func:`save_cinct` / :func:`load_cinct` — the original CiNCT-only format
-  (``index.json`` + ``bwt.npz``), kept as a compatibility shim for existing
-  callers and previously saved directories.
+:func:`save_index` / :func:`load_index` round-trip a
+:class:`~repro.engine.TrajectoryEngine` of any registered backend by
+dispatching through the backend registry: ``engine.json`` (format 6: the
+config, the alphabet and a SHA-256 manifest), a ``timestamps.npz`` written by
+the :class:`~repro.temporal.TimestampStore` and the backend's own archives.
+A CiNCT archive is the compressed index itself (the arrays its queries read,
+:meth:`repro.core.cinct.CiNCT.arrays`), so a load reads or maps it and builds
+nothing, the way sdsl persists succinct structures.  The FM baselines keep
+the BWT artefacts (text, BWT, suffix array, counts, ``C[]``) written by
+:func:`save_bwt_result` and rebuild from them.  An index written in an older
+format is rejected with one canonical error: rebuild it from its
+trajectories.
 """
 
 from __future__ import annotations
@@ -33,45 +21,35 @@ import json
 import os
 import shutil
 import zipfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
 
-from ..core.cinct import CiNCT
 from ..exceptions import (
     ConstructionError,
     DatasetError,
     IndexCorruptionError,
     ReproError,
+    unsupported_format_message,
 )
 from ..reliability import faults
 from ..strings.alphabet import Alphabet
 from ..strings.bwt import BWTResult
-from ..strings.trajectory_string import TrajectoryString
 from .npzutil import ensure_npz_suffix, load_npz_arrays
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..engine.config import EngineConfig
     from ..engine.engine import EngineShard, TrajectoryEngine
 
+#: Version of the ``bwt.npz`` archives of the FM baselines.
 _FORMAT_VERSION = 1
-#: version 1 embedded raw timestamp lists in ``engine.json``; version 2 moved
-#: them to a compressed ``timestamps.npz`` artefact; version 3 adds the
-#: engine's growth ``epoch`` (the result-cache invalidation counter bumped by
-#: ``add_batch``/``consolidate``); version 4 adds the sharded fleet layout —
-#: a top-level shard manifest (``"shards"`` key) whose entries name per-shard
-#: subdirectories, each holding an ordinary single-engine document; version 5
-#: adds crash safety and integrity: saves stage into a ``.tmp-<pid>`` sibling
-#: directory promoted wholesale via rename, and ``engine.json`` carries a
-#: ``"manifest"`` of per-artefact SHA-256 checksums and byte sizes that
-#: :func:`load_index` verifies, raising
-#: :class:`~repro.exceptions.IndexCorruptionError` naming any torn artefact.
-#: All five versions load; v1–v4 documents load without checksum
-#: verification and come back at their recorded (or zero) epoch.
-_ENGINE_FORMAT_VERSION = 5
-_SUPPORTED_ENGINE_VERSIONS = frozenset({1, 2, 3, 4, 5})
+#: Format 6: a CiNCT index (or partition) is saved as the arrays its queries
+#: read, and a load builds nothing.  Saves stage into a ``.tmp-<pid>``
+#: sibling directory promoted wholesale via rename, and ``engine.json``
+#: carries a ``"manifest"`` of per-artefact SHA-256 checksums and byte sizes
+#: that :func:`load_index` verifies.  Only this format loads.
+_ENGINE_FORMAT_VERSION = 6
 _TIMESTAMP_ARCHIVE = "timestamps.npz"
 _ENGINE_DOCUMENT = "engine.json"
 
@@ -114,24 +92,11 @@ def save_bwt_result(bwt_result: BWTResult, path: str | Path) -> Path:
     return ensure_npz_suffix(path)
 
 
-def _as_int64(array: np.ndarray) -> np.ndarray:
-    """int64 view of a loaded archive member, copying only on dtype mismatch.
-
-    Memory-mapped members must pass through untouched (an ``astype`` copy
-    would silently materialise the window and drop page sharing); archives
-    written on a platform with a different default integer width still get
-    the converting copy.
-    """
-    if array.dtype == np.int64:
-        return array
-    return array.astype(np.int64)
-
-
 def load_bwt_result(path: str | Path, mmap_mode: str | None = None) -> BWTResult:
     """Load a :class:`BWTResult` previously written by :func:`save_bwt_result`.
 
     With ``mmap_mode="r"`` the arrays come back as read-only ``np.memmap``
-    windows into the archive (for uncompressed members; compressed legacy
+    windows into the archive (for uncompressed members; compressed
     archives fall back to a full parse), so reloading costs header parsing
     and the index pages are shared across processes mapping the same file.
     """
@@ -145,13 +110,8 @@ def load_bwt_result(path: str | Path, mmap_mode: str | None = None) -> BWTResult
             raise ConstructionError(
                 f"unsupported BWT archive version {version} (expected {_FORMAT_VERSION})"
             )
-        return BWTResult(
-            text=_as_int64(archive["text"]),
-            bwt=_as_int64(archive["bwt"]),
-            suffix_array=_as_int64(archive["suffix_array"]),
-            counts=_as_int64(archive["counts"]),
-            c_array=_as_int64(archive["c_array"]),
-        )
+        fields = ("text", "bwt", "suffix_array", "counts", "c_array")
+        return BWTResult(**{name: archive[name] for name in fields})
     except _ARTEFACT_PARSE_ERRORS as error:
         # A torn/truncated archive surfaces as BadZipFile / KeyError /
         # ValueError depending on where the bytes were cut; normalize all of
@@ -163,22 +123,8 @@ def load_bwt_result(path: str | Path, mmap_mode: str | None = None) -> BWTResult
 
 
 # --------------------------------------------------------------------------- #
-# CiNCT indexes
+# universal engine persistence (registry-dispatched, crash-safe)
 # --------------------------------------------------------------------------- #
-@dataclass
-class SavedIndex:
-    """A reloaded CiNCT index together with its query-encoding alphabet."""
-
-    index: CiNCT
-    alphabet: Alphabet | None
-
-    def encode_pattern(self, path: list[Hashable]) -> list[int]:
-        """Encode a query path using the persisted alphabet."""
-        if self.alphabet is None:
-            raise ConstructionError("this index was saved without an alphabet")
-        return self.alphabet.encode_path(path)
-
-
 def _edge_to_json(edge: Hashable) -> object:
     if isinstance(edge, tuple):
         return [_edge_to_json(item) for item in edge]
@@ -199,91 +145,6 @@ def _alphabet_from_json(edges: list[object]) -> Alphabet:
     return Alphabet(_edge_from_json(edge) for edge in edges)
 
 
-def save_cinct(
-    index: CiNCT,
-    bwt_result: BWTResult,
-    directory: str | Path,
-    trajectory_string: TrajectoryString | None = None,
-) -> Path:
-    """Persist a CiNCT index (BWT artefacts + parameters + optional alphabet).
-
-    .. deprecated::
-        This is the original CiNCT-only format, kept as a compatibility shim.
-        New code should persist through :meth:`repro.engine.TrajectoryEngine.save`
-        (:func:`save_index`), which handles every registered backend.
-
-    Parameters
-    ----------
-    index:
-        The built index (provides the construction parameters to persist).
-    bwt_result:
-        The BWT artefacts the index was built from.
-    directory:
-        Target directory; created if missing.  Two files are written:
-        ``bwt.npz`` and ``index.json``.
-    trajectory_string:
-        When given, its alphabet is persisted too so reloaded indexes can
-        encode query paths expressed as original road-segment IDs.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    save_bwt_result(bwt_result, directory / "bwt.npz")
-    metadata: dict[str, object] = {
-        "format_version": _FORMAT_VERSION,
-        "block_size": index.block_size,
-        "labeling_strategy": index.labeling_strategy,
-        "bitvector_backend": index.bitvector_backend,
-        "sa_sample_rate": index._sa_sample_rate,
-        "length": index.length,
-        "sigma": index.sigma,
-    }
-    if trajectory_string is not None:
-        metadata["alphabet"] = _alphabet_to_json(trajectory_string.alphabet)
-    with (directory / "index.json").open("w", encoding="utf-8") as handle:
-        json.dump(metadata, handle, indent=2)
-    return directory
-
-
-def load_cinct(directory: str | Path) -> SavedIndex:
-    """Reload a CiNCT index persisted by :func:`save_cinct`.
-
-    The succinct structures are rebuilt in linear time from the stored BWT;
-    the suffix array is *not* recomputed.
-    """
-    directory = Path(directory)
-    metadata_path = directory / "index.json"
-    if not metadata_path.exists():
-        raise DatasetError(f"index metadata not found: {metadata_path}")
-    with metadata_path.open("r", encoding="utf-8") as handle:
-        metadata = json.load(handle)
-    version = int(metadata.get("format_version", -1))
-    if version != _FORMAT_VERSION:
-        raise ConstructionError(
-            f"unsupported index format version {version} (expected {_FORMAT_VERSION})"
-        )
-    bwt_result = load_bwt_result(directory / "bwt.npz")
-    if bwt_result.length != int(metadata["length"]) or bwt_result.sigma != int(metadata["sigma"]):
-        raise ConstructionError(
-            "index metadata does not match the stored BWT "
-            f"(length {metadata['length']} vs {bwt_result.length}, "
-            f"sigma {metadata['sigma']} vs {bwt_result.sigma})"
-        )
-    index = CiNCT(
-        bwt_result,
-        block_size=int(metadata["block_size"]),
-        labeling_strategy=metadata["labeling_strategy"],
-        bitvector_backend=metadata["bitvector_backend"],
-        sa_sample_rate=metadata["sa_sample_rate"],
-    )
-    alphabet = None
-    if "alphabet" in metadata:
-        alphabet = _alphabet_from_json(metadata["alphabet"])
-    return SavedIndex(index=index, alphabet=alphabet)
-
-
-# --------------------------------------------------------------------------- #
-# universal engine persistence (registry-dispatched, crash-safe)
-# --------------------------------------------------------------------------- #
 def _sha256_of(path: Path) -> str:
     digest = hashlib.sha256()
     with path.open("rb") as handle:
@@ -347,8 +208,7 @@ def save_index(engine: "TrajectoryEngine", directory: str | Path) -> Path:
     promote replaces the target directory *wholesale* — artefacts from an
     earlier save with a different layout (more shards, more partitions)
     cannot linger.  ``engine.json`` carries a ``"manifest"`` of per-artefact
-    SHA-256 checksums and byte sizes (format v5) that :func:`load_index`
-    verifies.
+    SHA-256 checksums and byte sizes that :func:`load_index` verifies.
 
     A one-shard engine persists in this *flat layout*.  An engine with more
     shards persists in the *fleet layout*: a top-level shard manifest
@@ -462,33 +322,23 @@ def _write_sharded(engine: "TrajectoryEngine", directory: Path) -> None:
 def load_index(directory: str | Path, *, mmap: bool = False) -> "TrajectoryEngine":
     """Reload an engine persisted by :func:`save_index` (any backend).
 
-    Every engine document generation loads: version 4+ shard manifests come
-    back as a multi-shard :class:`~repro.engine.TrajectoryEngine` (each shard
-    subdirectory reloaded as one flat shard), v1–v3 documents (and v4
-    documents without a shard list) as a one-shard engine — version 2 reads
-    the compressed ``timestamps.npz`` artefact, version 1 (legacy) the raw
-    timestamp lists embedded in ``engine.json``.  Version-5 documents carry
-    an artefact ``manifest`` that is verified (existence, byte size,
-    SHA-256) before anything is parsed; any mismatch, missing artefact or
-    torn archive raises :class:`~repro.exceptions.IndexCorruptionError`
-    naming the offending file.  Older documents load unchecksummed and
-    upgrade to v5 on the next :func:`save_index`.  Directories written by
-    the legacy :func:`save_cinct` are detected and rejected with a pointer
-    to :func:`load_cinct`.
+    A document with a ``"shards"`` list comes back as a multi-shard
+    :class:`~repro.engine.TrajectoryEngine`, any other as a one-shard
+    engine.  The artefact ``manifest`` is verified (existence, byte size,
+    SHA-256) before anything is parsed: a mismatch, missing artefact or torn
+    archive raises :class:`~repro.exceptions.IndexCorruptionError` naming
+    the file.  Any other format version, or a directory of the retired
+    CiNCT-only layout (``index.json``), raises the canonical
+    :func:`~repro.exceptions.unsupported_format_message` error: rebuild that
+    index from its trajectories.
 
-    ``mmap=True`` loads the large immutable arrays (BWT artefacts, the raw
-    linear-scan text, the timestamp payloads) as read-only ``np.memmap``
-    windows into their archives instead of decompress-and-copy parses: the
-    succinct structures still rebuild in linear time, but the backing arrays
-    fault in lazily from the page cache and are **shared** between every
-    process mapping the same files — N shard workers hold one physical copy
-    of the index.  Growth after an mmap load is copy-on-grow: new batches
-    build new in-memory arrays, the mapped pages are never written (they are
-    read-only — an accidental write raises), and the on-disk archives stay
-    byte-identical until the next :func:`save_index`.  Archives written
-    before the uncompressed layout load with ``mmap=True`` too, falling back
-    to a full parse member by member.  Checksum verification is unchanged —
-    the manifest hashes file bytes, which the page cache makes cheap.
+    A CiNCT archive is restored without any construction step.  With
+    ``mmap=True`` the archives' arrays are read-only ``np.memmap`` windows
+    (uncompressed members; others are parsed): their pages fault in lazily
+    and are **shared** by every process mapping the same files.  Growth
+    after an mmap load builds new in-memory arrays and never writes the
+    mapped pages (a write raises), so the archives stay byte-identical until
+    the next :func:`save_index`.
     """
     from ..engine.engine import TrajectoryEngine
 
@@ -504,28 +354,27 @@ def _read_document(directory: Path) -> dict:
     """Parse and verify one ``engine.json`` (version check, artefact manifest)."""
     document_path = directory / _ENGINE_DOCUMENT
     if not document_path.exists():
-        if (directory / "index.json").exists():
-            raise DatasetError(
-                f"{directory} holds a legacy CiNCT-only index; load it with "
-                "repro.load_cinct instead"
-            )
-        raise DatasetError(f"engine metadata not found: {document_path}")
+        legacy = directory / "index.json"
+        if legacy.exists():
+            document_path = legacy
+        else:
+            raise DatasetError(f"engine metadata not found: {document_path}")
     try:
         with document_path.open("r", encoding="utf-8") as handle:
             document = json.load(handle)
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as error:
         raise IndexCorruptionError(
-            f"index artefact {_ENGINE_DOCUMENT!r} is corrupt or truncated "
+            f"index artefact {document_path.name!r} is corrupt or truncated "
             f"({type(error).__name__}: {error}) at {document_path}"
         ) from error
-    version = int(document.get("format_version", -1))
-    if version not in _SUPPORTED_ENGINE_VERSIONS:
-        raise ConstructionError(
-            f"unsupported engine format version {version} "
-            f"(expected one of {sorted(_SUPPORTED_ENGINE_VERSIONS)})"
+    version = document.get("format_version") if isinstance(document, dict) else None
+    if version != _ENGINE_FORMAT_VERSION:
+        raise ConstructionError(unsupported_format_message(version, _ENGINE_FORMAT_VERSION))
+    if not isinstance(document.get("manifest"), dict):
+        raise IndexCorruptionError(
+            f"index artefact {_ENGINE_DOCUMENT!r} has no artefact manifest at {directory}"
         )
-    if version >= 5 and "manifest" in document:
-        _verify_manifest(directory, document["manifest"])
+    _verify_manifest(directory, document["manifest"])
     return document
 
 
@@ -540,17 +389,7 @@ def _load_shard(directory: Path, document: dict, *, mmap: bool = False) -> "Engi
     spec = backend_spec(document["backend"])
     alphabet = _alphabet_from_json(document["alphabet"])
     try:
-        if mmap:
-            # Only pass the kwarg when asked for: third-party loaders
-            # registered before the mmap layer keep working for plain loads.
-            backend = spec.loader(
-                directory, document.get("backend_meta", {}), config, alphabet,
-                mmap=True,
-            )
-        else:
-            backend = spec.loader(
-                directory, document.get("backend_meta", {}), config, alphabet
-            )
+        backend = spec.loader(directory, document["backend_meta"], config, alphabet, mmap=mmap)
     except ReproError:
         raise
     except _ARTEFACT_PARSE_ERRORS as error:
@@ -558,39 +397,23 @@ def _load_shard(directory: Path, document: dict, *, mmap: bool = False) -> "Engi
             f"backend {document['backend']!r} artefacts are corrupt or "
             f"incomplete ({type(error).__name__}: {error}) at {directory}"
         ) from error
-    if "timestamps_file" in document:
-        timestamps_path = directory / str(document["timestamps_file"])
-        if not timestamps_path.exists():
-            raise IndexCorruptionError(
-                f"index artefact {timestamps_path.name!r} is missing "
-                f"from {directory}"
-            )
-        try:
-            store = TimestampStore.load(
-                timestamps_path, mmap_mode="r" if mmap else None
-            )
-        except ReproError:
-            raise
-        except _ARTEFACT_PARSE_ERRORS as error:
-            raise IndexCorruptionError(
-                f"index artefact {timestamps_path.name!r} is corrupt or "
-                f"truncated ({type(error).__name__}: {error}) at {timestamps_path}"
-            ) from error
-    else:
-        # Legacy version-1 documents embed raw per-trajectory lists.
-        store = TimestampStore(
-            list(times) if times is not None else None
-            for times in document.get("timestamps", [])
-        )
-    # Version-1/2 documents predate growth epochs; they resume at epoch 0.
-    epoch = int(document.get("epoch", 0))
-    return EngineShard(backend, config, store, epoch=epoch)
+    timestamps_path = directory / str(document["timestamps_file"])
+    try:
+        store = TimestampStore.load(timestamps_path, mmap_mode="r" if mmap else None)
+    except ReproError:
+        raise
+    except _ARTEFACT_PARSE_ERRORS as error:
+        raise IndexCorruptionError(
+            f"index artefact {timestamps_path.name!r} is corrupt or "
+            f"truncated ({type(error).__name__}: {error}) at {timestamps_path}"
+        ) from error
+    return EngineShard(backend, config, store, epoch=int(document["epoch"]))
 
 
 def _load_sharded(
     directory: Path, document: dict, *, mmap: bool = False
 ) -> "TrajectoryEngine":
-    """Reassemble a multi-shard engine from a format-v4/v5 shard manifest."""
+    """Reassemble a multi-shard engine from a fleet document's shard list."""
     from ..engine.config import EngineConfig
     from ..engine.engine import EngineShard, TrajectoryEngine
 

@@ -34,23 +34,21 @@ def ensure_npz_suffix(path: Path) -> Path:
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
 
-def _member_data_offset(path: Path, info: zipfile.ZipInfo, header_bytes: int) -> int:
-    """Absolute file offset of a stored member's array data.
+def _member_data_offset(handle, info: zipfile.ZipInfo) -> int:
+    """Absolute file offset of a stored member's ``.npy`` bytes.
 
     ``info.header_offset`` points at the member's *local file header*, whose
     length is 30 fixed bytes plus the filename and extra fields actually
     written there (the central directory's copies can differ, so the local
-    header is read directly); the ``.npy`` magic + header consume
-    ``header_bytes`` more.
+    header is read directly).
     """
-    with path.open("rb") as handle:
-        handle.seek(info.header_offset)
-        local_header = handle.read(30)
+    handle.seek(info.header_offset)
+    local_header = handle.read(30)
     if len(local_header) != 30 or local_header[:4] != b"PK\x03\x04":
         raise ValueError(f"corrupt zip local header for member {info.filename!r}")
     name_length = int.from_bytes(local_header[26:28], "little")
     extra_length = int.from_bytes(local_header[28:30], "little")
-    return info.header_offset + 30 + name_length + extra_length + header_bytes
+    return info.header_offset + 30 + name_length + extra_length
 
 
 def load_npz_arrays(
@@ -60,51 +58,45 @@ def load_npz_arrays(
 
     With ``mmap_mode=None`` this is ``np.load`` materialised into a plain
     dict.  With a mode (``"r"`` for the read-only sharing the persistence
-    layer uses), each uncompressed member comes back as an ``np.memmap``
-    window straight into the archive file; compressed members and
-    object-dtype members fall back to a full parse.  Read-only maps raise on
-    any write attempt, which is exactly the guard the copy-on-grow tests
-    rely on.
+    layer uses), the file is mapped once and each uncompressed member comes
+    back as an ``np.memmap`` window into that map, its ``.npy`` header read
+    straight from the file; compressed members and object-dtype members fall
+    back to a full parse.  Read-only maps raise on any write attempt, which
+    is exactly the guard the copy-on-grow tests rely on.
     """
     path = Path(path)
     if mmap_mode is None:
         with np.load(path) as archive:
             return {name: archive[name] for name in archive.files}
     arrays: dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(path) as archive:
+    whole: np.memmap | None = None
+    with zipfile.ZipFile(path) as archive, path.open("rb") as handle:
         for info in archive.infolist():
             name = info.filename
             key = name[:-4] if name.endswith(".npy") else name
-            if info.compress_type != zipfile.ZIP_STORED:
-                with archive.open(info) as member:
-                    arrays[key] = np.lib.format.read_array(member)
-                continue
-            with archive.open(info) as member:
-                version = np.lib.format.read_magic(member)
+            dtype = None
+            if info.compress_type == zipfile.ZIP_STORED:
+                handle.seek(_member_data_offset(handle, info))
+                version = np.lib.format.read_magic(handle)
                 if version == (1, 0):
-                    shape, fortran, dtype = np.lib.format.read_array_header_1_0(member)
+                    shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
                 elif version == (2, 0):
-                    shape, fortran, dtype = np.lib.format.read_array_header_2_0(member)
-                else:  # an .npy generation this reader does not know
-                    member.seek(0)
-                    arrays[key] = np.lib.format.read_array(member)
-                    continue
-                header_bytes = member.tell()
-            if dtype.hasobject:
+                    shape, fortran, dtype = np.lib.format.read_array_header_2_0(handle)
+            if dtype is None or dtype.hasobject:
+                # Compressed, object-dtype or an .npy generation this
+                # reader does not know: a full parse.
                 with archive.open(info) as member:
                     arrays[key] = np.lib.format.read_array(member)
                 continue
-            if int(np.prod(shape)) == 0:
+            count = int(np.prod(shape))
+            if count == 0:
                 # Zero-byte payloads cannot be mapped; an empty array is
                 # indistinguishable from one anyway.
                 arrays[key] = np.empty(shape, dtype=dtype)
                 continue
-            arrays[key] = np.memmap(
-                path,
-                dtype=dtype,
-                mode=mmap_mode,
-                offset=_member_data_offset(path, info, header_bytes),
-                shape=shape,
-                order="F" if fortran else "C",
-            )
+            if whole is None:
+                whole = np.memmap(path, dtype=np.uint8, mode=mmap_mode)
+            start = handle.tell()
+            window = whole[start : start + count * dtype.itemsize].view(dtype)
+            arrays[key] = window.reshape(shape, order="F" if fortran else "C")
     return arrays

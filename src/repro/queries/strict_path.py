@@ -10,9 +10,10 @@ compressed index, and the temporal part with the companion
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from ..core.cinct import CiNCT
 from ..exceptions import EMPTY_PATH_MESSAGE, QueryError
@@ -33,39 +34,35 @@ class StrictPathMatch:
     end_time: float | None
 
 
-def resolve_text_position(
-    trajectory_string: TrajectoryString,
-    text_position: int,
+def resolve_text_positions(
+    trajectory_offsets: np.ndarray,
+    trajectory_lengths: np.ndarray,
+    text_positions: Sequence[int],
     pattern_length: int,
-) -> tuple[int, int, int] | None:
-    """Map a trajectory-string position to travel-order coordinates.
+) -> list[tuple[int, int, int]]:
+    """Map trajectory-string positions to travel-order coordinates, all at once.
 
-    Given the start position (in the stored, reversed text) of a
-    ``pattern_length``-symbol occurrence, return ``(trajectory_index,
-    start_edge_index, end_edge_index)`` in travel order, or ``None`` when the
-    position falls on a separator or the occurrence would cross a trajectory
-    boundary.  Shared by :class:`StrictPathIndex` and the engine backends so
-    every locate-capable index resolves matches identically.
+    Given the start positions (in the stored, reversed text) of
+    ``pattern_length``-symbol occurrences, return ``(trajectory_index,
+    start_edge_index, end_edge_index)`` in travel order for each, dropping
+    positions that fall on a separator and occurrences that would cross a
+    trajectory boundary.  Shared by :class:`StrictPathIndex` and the engine
+    backends so every locate-capable index resolves matches identically.
     """
-    offsets = trajectory_string.trajectory_offsets
-    lengths = trajectory_string.trajectory_lengths
-    trajectory_index = bisect_right(offsets, text_position) - 1
-    if trajectory_index < 0 or trajectory_index >= len(offsets):
-        return None
-    offset = offsets[trajectory_index]
-    length = lengths[trajectory_index]
-    within = text_position - offset
-    if within >= length:
-        return None  # the position falls on a separator, not a segment
+    positions = np.asarray(text_positions, dtype=np.int64)
+    index = np.searchsorted(trajectory_offsets, positions, side="right") - 1
+    inside = index >= 0
+    index, positions = index[inside], positions[inside]
+    within = positions - trajectory_offsets[index]
+    lengths = trajectory_lengths[index]
     # The trajectory is stored reversed: text offset `within` is travel
     # index (length - 1 - within); the match covers pattern_length
     # positions going *forward* in the text, i.e. backwards in travel
     # order, ending at that travel index.
-    end_travel_index = length - 1 - within
-    start_travel_index = end_travel_index - (pattern_length - 1)
-    if start_travel_index < 0:
-        return None
-    return trajectory_index, start_travel_index, end_travel_index
+    end = lengths - 1 - within
+    start = end - (pattern_length - 1)
+    keep = (within < lengths) & (start >= 0)
+    return list(zip(index[keep].tolist(), start[keep].tolist(), end[keep].tolist()))
 
 
 class StrictPathIndex:
@@ -160,11 +157,14 @@ class StrictPathIndex:
         matches: list[StrictPathMatch] = []
         # One batched locate for the whole suffix range: every occurrence
         # LF-walks to its sampled ancestor in lockstep.
-        text_positions = self._index.locate_many(range(sp, ep))
-        for text_position in text_positions:
-            match = self._match_from_text_position(text_position, len(pattern))
-            if match is None:
-                continue
+        ts = self._trajectory_string
+        for resolved in resolve_text_positions(
+            np.asarray(ts.trajectory_offsets),
+            np.asarray(ts.trajectory_lengths),
+            self._index.locate_many(range(sp, ep)),
+            len(pattern),
+        ):
+            match = self._match(*resolved)
             if t_start is not None:
                 if match.start_time is None or match.end_time is None:
                     continue
@@ -191,11 +191,9 @@ class StrictPathIndex:
             raise QueryError(EMPTY_PATH_MESSAGE)
         return self._trajectory_string.encode_pattern(list(path))
 
-    def _match_from_text_position(self, text_position: int, pattern_length: int) -> StrictPathMatch | None:
-        resolved = resolve_text_position(self._trajectory_string, text_position, pattern_length)
-        if resolved is None:
-            return None
-        trajectory_index, start_travel_index, end_travel_index = resolved
+    def _match(
+        self, trajectory_index: int, start_travel_index: int, end_travel_index: int
+    ) -> StrictPathMatch:
         trajectory = self._dataset.trajectories[trajectory_index]
         start_time = end_time = None
         if trajectory.timestamps is not None:

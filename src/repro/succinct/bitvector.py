@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..exceptions import QueryError
+from ..exceptions import ConstructionError, QueryError
 
 _WORD_BITS = 64
 
@@ -46,6 +46,10 @@ def _build_popcount16() -> np.ndarray:
 #: Precomputed popcount of every 16-bit value (numpy view + plain-list view).
 POPCOUNT16 = _build_popcount16()
 _POPCOUNT16_LIST: list[int] = POPCOUNT16.tolist()
+#: ``LOW_MASKS[i]`` keeps the ``i`` lowest bits of a word (``i`` in 0..64).
+LOW_MASKS = np.array([(1 << i) - 1 for i in range(65)], dtype=np.uint64)
+#: ``BIT_MASKS[i]`` selects bit ``i`` of a word.
+BIT_MASKS = np.array([1 << i for i in range(64)], dtype=np.uint64)
 
 
 def popcount64(x: int) -> int:
@@ -147,16 +151,10 @@ class BitVector:
             buffer = np.zeros(n_words * 8, dtype=np.uint8)
             buffer[: packed.size] = packed
             packed = buffer
-        self._words = packed.view("<u8").astype(np.uint64, copy=False)
-        popcounts = _popcount_packed_words(packed)
         # _cum_rank[i] = number of ones in words[0:i]
-        self._cum_rank = np.zeros(n_words + 1, dtype=np.int64)
-        np.cumsum(popcounts, out=self._cum_rank[1:])
-        self._n_ones = int(self._cum_rank[-1])
-        # Sampled select directories, built lazily on first select call.
-        self._select1_samples: np.ndarray | None = None
-        self._cum_rank0: np.ndarray | None = None
-        self._select0_samples: np.ndarray | None = None
+        cum_rank = np.zeros(n_words + 1, dtype=np.int64)
+        np.cumsum(_popcount_packed_words(packed), out=cum_rank[1:])
+        self._set_packed(self._n, packed.view("<u8").astype(np.uint64, copy=False), cum_rank)
 
     def __getattr__(self, name: str):
         # Native-int mirrors of the packed words and the rank directory:
@@ -176,14 +174,30 @@ class BitVector:
     def _from_packed(cls, n: int, words: np.ndarray, cum_rank: np.ndarray) -> "BitVector":
         """Internal: wrap pre-packed words and a pre-computed rank directory."""
         self = object.__new__(cls)
+        self._set_packed(n, words, cum_rank)
+        return self
+
+    def _set_packed(self, n: int, words: np.ndarray, cum_rank: np.ndarray) -> None:
         self._n = n
         self._words = words
         self._cum_rank = cum_rank
         self._n_ones = int(cum_rank[-1])
-        self._select1_samples = None
-        self._cum_rank0 = None
-        self._select0_samples = None
-        return self
+        # Sampled select directories, built lazily on first select call.
+        self._select1_samples: np.ndarray | None = None
+        self._cum_rank0: np.ndarray | None = None
+        self._select0_samples: np.ndarray | None = None
+
+    @classmethod
+    def from_words(cls, n: int, words: np.ndarray) -> "BitVector":
+        """Wrap ``n`` bits packed as :attr:`words`; only the rank directory is computed.
+
+        The words are kept as given (a read-only memory map stays mapped).
+        """
+        if words.size != (n + _WORD_BITS - 1) // _WORD_BITS:
+            raise ConstructionError(f"{words.size} words cannot hold exactly {n} bits")
+        cum_rank = np.zeros(words.size + 1, dtype=np.int64)
+        np.cumsum(popcount_array(words), out=cum_rank[1:])
+        return cls._from_packed(n, words, cum_rank)
 
     @classmethod
     def build_many(cls, bits: np.ndarray, boundaries: np.ndarray) -> list["BitVector"]:
@@ -291,6 +305,19 @@ class BitVector:
         """Vectorized :meth:`rank0` over an array of positions."""
         pos = np.asarray(positions, dtype=np.int64)
         return pos - self.rank1_many(pos)
+
+    def rank1_where_set(self, positions: np.ndarray) -> np.ndarray:
+        """``rank1(p)`` of each position whose bit is set, ``-1`` where it is unset.
+
+        One word gather answers the access and the rank together (the
+        sampled-SA test of a batched locate step); the int64 positions must
+        lie in ``[0, n)`` and are not checked.
+        """
+        word_index = positions >> 6
+        within = positions & 63
+        words = self._words[word_index]
+        ranks = self._cum_rank[word_index] + np.bitwise_count(words & LOW_MASKS[within])
+        return np.where(words & BIT_MASKS[within], ranks, -1)
 
     def access_many(self, positions: Sequence[int] | np.ndarray) -> np.ndarray:
         """Vectorized :meth:`access` over an array of positions."""

@@ -191,31 +191,14 @@ class RRRBitVector:
             raise ConstructionError(f"sample_rate must be positive, got {sample_rate}")
         arr = np.asarray(list(bits) if not isinstance(bits, np.ndarray) else bits)
         arr = (arr != 0).astype(np.uint8)
-        self._n = int(arr.size)
-        self._b = block_size
-        self._sample_rate = sample_rate
-
-        n_blocks = (self._n + block_size - 1) // block_size if self._n else 0
+        n = int(arr.size)
+        n_blocks = (n + block_size - 1) // block_size
         padded = np.zeros(n_blocks * block_size, dtype=np.uint8)
-        padded[: self._n] = arr
-        blocks = padded.reshape(n_blocks, block_size)
-
-        self._classes, self._offsets = encode_blocks(blocks)
-        # Dense per-block cumulative class counts: the in-memory rank
-        # directory (one searchsorted away from any block).  The *accounted*
-        # structure remains the coarse samples below.
-        self._class_cum = np.zeros(n_blocks + 1, dtype=np.int64)
-        np.cumsum(self._classes.astype(np.int64), out=self._class_cum[1:])
-        self._n_ones = int(self._class_cum[-1])
-        # rank samples: ones in blocks [0, k*sample_rate) — the sampled rank
-        # directory whose size is charged by :meth:`size_in_bits` and which
-        # seeds the select binary searches.
-        self._rank_samples = np.zeros(n_blocks // sample_rate + 1, dtype=np.int64)
-        if n_blocks:
-            boundaries = np.minimum(
-                np.arange(self._rank_samples.size, dtype=np.int64) * sample_rate, n_blocks
-            )
-            self._rank_samples = self._class_cum[boundaries]
+        padded[:n] = arr
+        classes, offsets = encode_blocks(padded.reshape(n_blocks, block_size))
+        class_cum = np.zeros(n_blocks + 1, dtype=np.int64)
+        np.cumsum(classes.astype(np.int64), out=class_cum[1:])
+        self._set_parts(n, block_size, sample_rate, classes, offsets, class_cum)
 
     @classmethod
     def _from_parts(
@@ -229,11 +212,28 @@ class RRRBitVector:
     ) -> "RRRBitVector":
         """Internal: wrap pre-encoded blocks and a pre-computed directory."""
         self = object.__new__(cls)
+        self._set_parts(n, block_size, sample_rate, classes, offsets, class_cum)
+        return self
+
+    def _set_parts(
+        self,
+        n: int,
+        block_size: int,
+        sample_rate: int,
+        classes: np.ndarray,
+        offsets: np.ndarray,
+        class_cum: np.ndarray,
+    ) -> None:
         self._n = n
         self._b = block_size
         self._sample_rate = sample_rate
         self._classes = classes
         self._offsets = offsets
+        # Dense per-block cumulative class counts: the in-memory rank
+        # directory (one searchsorted away from any block).  The *accounted*
+        # structure is the coarse rank samples: ones in blocks
+        # [0, k * sample_rate), charged by :meth:`size_in_bits` and seeding
+        # the select binary searches.
         self._class_cum = class_cum
         self._n_ones = int(class_cum[-1])
         n_blocks = int(classes.size)
@@ -241,7 +241,6 @@ class RRRBitVector:
             np.arange(n_blocks // sample_rate + 1, dtype=np.int64) * sample_rate, n_blocks
         )
         self._rank_samples = class_cum[boundaries]
-        return self
 
     @classmethod
     def build_many(
@@ -325,6 +324,11 @@ class RRRBitVector:
     def block_size(self) -> int:
         """The RRR block size ``b``."""
         return self._b
+
+    @property
+    def sample_rate(self) -> int:
+        """Blocks between absolute rank samples."""
+        return self._sample_rate
 
     @property
     def n_ones(self) -> int:

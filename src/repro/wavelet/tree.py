@@ -37,12 +37,9 @@ import numpy as np
 
 from ..exceptions import AlphabetError, ConstructionError, QueryError
 from ..succinct import BitVector, RRRBitVector, build_huffman_code, decode_blocks
+from ..succinct.bitvector import BIT_MASKS, LOW_MASKS
 from .factories import BitVectorFactory, BitVectorLike, build_many, plain_bitvector_factory
 
-#: ``_LOW_MASKS[i]`` keeps the ``i`` lowest bits of a word (``i`` in 0..64).
-_LOW_MASKS = np.array([(1 << i) - 1 for i in range(65)], dtype=np.uint64)
-#: ``_BITS[i]`` selects bit ``i`` of a word.
-_BITS = np.array([1 << i for i in range(64)], dtype=np.uint64)
 #: Word of an RRR block not decoded yet; no block of ``b <= 63`` bits has
 #: every one of the 64 bits set.
 _UNDECODED = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -101,9 +98,68 @@ class WaveletTree:
                 raise ConstructionError("codes are not prefix-free")
 
         self._build_topology(present)
-        self._build_bitvectors(seq, values, factory)
-        self._build_block_directory()
+        self._build_block_directory(self._build_bitvectors(seq, values, factory))
         self._build_paths()
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "WaveletTree":
+        """Restore a tree from :meth:`arrays` without routing a sequence.
+
+        The code fixes the topology and the path tables (one entry per
+        symbol); the node bit vectors are views over the stored flat block
+        arrays, so a memory-mapped archive stays mapped.
+        """
+        self = object.__new__(cls)
+        self._codes = {
+            s: tuple(bits[:length])
+            for s, length, bits in zip(
+                arrays["symbols"].tolist(),
+                arrays["code_lengths"].tolist(),
+                arrays["code_bits"].tolist(),
+            )
+        }
+        symbols = list(self._codes)
+        self._frequencies = {
+            s: count for s, count in zip(symbols, arrays["counts"].tolist()) if count
+        }
+        self._build_topology(sorted(self._frequencies))
+        self._n = int(arrays["node_lengths"][0])
+        rrr = "classes" in arrays
+        self._install_blocks(
+            arrays["node_lengths"],
+            int(arrays["block_bits"][0]) if rrr else 64,
+            classes=arrays.get("classes"),
+            offsets=arrays.get("offsets"),
+            words=arrays.get("words"),
+            sample_rate=int(arrays["rank_sample_rate"][0]) if rrr else 32,
+        )
+        self._build_paths()
+        return self
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The saved form of the tree: its code, node lengths and flat blocks.
+
+        ``symbols``/``counts``/``code_lengths``/``code_bits`` fix the shape,
+        ``node_lengths`` the bits per node, and ``classes``/``offsets`` (RRR)
+        or ``words`` (plain) hold every node's blocks, one zero block last.
+        The memo of decoded RRR words is not part of it.
+        """
+        symbols, _, _, code_bits = self._pair_tables
+        out = {
+            "symbols": symbols,
+            "counts": np.asarray([self._frequencies.get(s, 0) for s in symbols.tolist()]),
+            "code_lengths": np.asarray([len(self._codes[s]) for s in symbols.tolist()]),
+            "code_bits": code_bits.view(np.uint8),
+            "node_lengths": self._node_lengths,
+        }
+        if self._classes is None:
+            out["words"] = self._words
+        else:
+            out["block_bits"] = np.asarray([self._block_bits], dtype=np.int64)
+            out["rank_sample_rate"] = np.asarray([self._node_bvs[0].sample_rate], dtype=np.int64)
+            out["classes"] = self._classes
+            out["offsets"] = self._offsets
+        return out
 
     # ------------------------------------------------------------------ #
     # construction
@@ -165,9 +221,7 @@ class WaveletTree:
         self._level_offsets = level_offsets
         self._num_nodes = total
 
-        # Child pointers in renumbered ids, kept both as numpy (for the
-        # vectorized routing below) and as plain lists (for the per-symbol
-        # path walks, where numpy scalar indexing would dominate).
+        # Child pointers in renumbered ids.
         child_rows: list[list[int]] = [[-1, -1] for _ in range(max(total, 1))]
         for old in range(total):
             renumbered = new_id[old]
@@ -176,7 +230,6 @@ class WaveletTree:
                 child_rows[renumbered][0] = new_id[left]
             if right >= 0:
                 child_rows[renumbered][1] = new_id[right]
-        self._child_rows = child_rows
         self._child = np.asarray(child_rows, dtype=np.int64)
 
         # child_local_maps[level][parent_local * 2 + bit] -> local id at
@@ -190,7 +243,7 @@ class WaveletTree:
 
     def _build_bitvectors(
         self, seq: np.ndarray, values: np.ndarray, factory: BitVectorFactory
-    ) -> None:
+    ) -> list[BitVectorLike]:
         """Route the whole sequence level by level with stable partitions."""
         m = int(values.size)
         seq_ids = np.searchsorted(values, seq)
@@ -202,13 +255,13 @@ class WaveletTree:
             for depth, bit in enumerate(code):
                 bit_at[depth, local] = bit
 
-        self._node_bvs: list[BitVectorLike] = []
+        node_bvs: list[BitVectorLike] = []
         cur_ids = seq_ids
         cur_nodes = np.zeros(seq.size, dtype=np.int64)
         for level in range(self._levels):
             bits = bit_at[level][cur_ids]
             starts = np.searchsorted(cur_nodes, np.arange(self._level_sizes[level] + 1))
-            self._node_bvs.extend(build_many(factory, bits, starts))
+            node_bvs.extend(build_many(factory, bits, starts))
             if level + 1 >= self._levels:
                 break
             # Stable partition of every node into (zeros, ones) in O(n): each
@@ -234,9 +287,42 @@ class WaveletTree:
             next_survive[destination] = survive
             cur_ids = next_ids[next_survive]
             cur_nodes = next_nodes[next_survive]
+        return node_bvs
 
-    def _build_block_directory(self) -> None:
-        """Concatenate every node's blocks into tree-wide arrays.
+    def _build_block_directory(self, bvs: list[BitVectorLike]) -> None:
+        """Concatenate the routed nodes' blocks into tree-wide arrays.
+
+        Plain bit vectors contribute their packed words, RRR bit vectors
+        their classes and offsets.  One zero block at the end keeps a rank at
+        the very end of the last node in bounds.
+        """
+        node_lengths = np.asarray([len(bv) for bv in bvs], dtype=np.int64)
+        if all(isinstance(bv, RRRBitVector) for bv in bvs):
+            self._install_blocks(
+                node_lengths,
+                bvs[0].block_size,
+                classes=np.concatenate([bv.block_classes for bv in bvs] + [_ZERO_CLASS]),
+                offsets=np.concatenate([bv.block_offsets for bv in bvs] + [_ZERO_WORD]),
+                sample_rate=bvs[0].sample_rate,
+            )
+        elif all(isinstance(bv, BitVector) for bv in bvs):
+            self._install_blocks(
+                node_lengths, 64, words=np.concatenate([bv.words for bv in bvs] + [_ZERO_WORD])
+            )
+        else:
+            raise ConstructionError("wavelet trees need plain or RRR bit vectors")
+
+    def _install_blocks(
+        self,
+        node_lengths: np.ndarray,
+        block_bits: int,
+        *,
+        classes: np.ndarray | None = None,
+        offsets: np.ndarray | None = None,
+        words: np.ndarray | None = None,
+        sample_rate: int = 32,
+    ) -> None:
+        """Install the flat block directory and the node bit vectors over it.
 
         Node ``v`` owns blocks ``[_node_start[v], _node_start[v + 1])`` of
         ``_block_bits`` bits each, ``_cum[k]`` counts the ones in every block
@@ -244,86 +330,78 @@ class WaveletTree:
         before position ``p`` of node ``v`` are ``_cum[k] - _node_base[v]``
         plus a popcount of block ``k = _node_start[v] + p // _block_bits``.
 
-        Plain bit vectors contribute their packed words as they are.  RRR bit
-        vectors contribute their classes and offsets; their words start out
-        as :data:`_UNDECODED` and are decoded the first time a query touches
-        them (class-0 blocks are all zeros and start out decoded).  One zero
-        block at the end keeps a rank at the very end of the last node in
-        bounds.
+        RRR words start out as :data:`_UNDECODED` and are decoded the first
+        time a query touches them (class-0 blocks are all zeros and start out
+        decoded).  Every node bit vector is a view over the flat arrays.
         """
-        bvs = self._node_bvs
-        if all(isinstance(bv, RRRBitVector) for bv in bvs):
-            self._block_bits = bvs[0].block_size
-            sizes = [bv.block_classes.size for bv in bvs]
-            self._classes = np.concatenate([bv.block_classes for bv in bvs] + [_ZERO_CLASS])
-            self._offsets = np.concatenate([bv.block_offsets for bv in bvs] + [_ZERO_WORD])
-            self._words = np.where(self._classes == 0, np.uint64(0), _UNDECODED)
-            ones = self._classes
-        elif all(isinstance(bv, BitVector) for bv in bvs):
-            self._block_bits = 64
-            sizes = [bv.words.size for bv in bvs]
-            self._classes = self._offsets = None
-            self._words = np.concatenate([bv.words for bv in bvs] + [_ZERO_WORD])
-            ones = np.bitwise_count(self._words)
+        self._node_lengths = node_lengths
+        self._block_bits = block_bits
+        self._node_start = np.zeros(node_lengths.size + 1, dtype=np.int64)
+        np.cumsum((node_lengths + block_bits - 1) // block_bits, out=self._node_start[1:])
+        self._classes, self._offsets = classes, offsets
+        if classes is not None:
+            self._words = np.where(classes == 0, np.uint64(0), _UNDECODED)
+            ones = classes
         else:
-            raise ConstructionError("wavelet trees need plain or RRR bit vectors")
-        self._node_start = np.zeros(len(bvs) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=self._node_start[1:])
+            self._words = words
+            ones = np.bitwise_count(words)
         self._cum = np.zeros(ones.size + 1, dtype=np.int64)
         np.cumsum(ones, out=self._cum[1:])
         self._node_base = self._cum[self._node_start[:-1]]
+        # Node views are cut from plain ndarray views: slicing a memory map
+        # costs far more per call, and the views still share its pages.
+        flat = [np.asarray(a) for a in ((classes, offsets) if classes is not None else (words,))]
+        starts = self._node_start.tolist()
+        self._node_bvs: list[BitVectorLike] = []
+        for node, length in enumerate(node_lengths.tolist()):
+            lo, hi = starts[node], starts[node + 1]
+            cum = self._cum[lo : hi + 1] - self._cum[lo]
+            if classes is not None:
+                bv: BitVectorLike = RRRBitVector._from_parts(
+                    length, block_bits, sample_rate, flat[0][lo:hi], flat[1][lo:hi], cum
+                )
+            else:
+                bv = BitVector._from_packed(length, flat[0][lo:hi], cum)
+            self._node_bvs.append(bv)
 
     def _build_paths(self) -> None:
         """Resolve per-symbol code paths, leaf pointers and the path tables.
 
+        Every code descends the trie together, one depth at a time.
         ``_pair_tables = (symbols, depths, node_table, bit_table)``: row ``r``
-        holds symbol ``symbols[r]``'s code path padded with ``-1``.  Symbols
-        whose stored path fell off the trie (truncated or ``-1``-terminated)
-        get depth 0 — :meth:`rank` returns 0 for those, and so must the
+        holds symbol ``symbols[r]``'s code path padded with ``-1``.  A code
+        that leaves the trie (a symbol the tree never routed) gets depth 0
+        and no path: :meth:`rank` returns 0 for it, and so does the
         level-synchronous walk.
         """
-        paths: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        child = self._child_rows
-        leaf_parents: list[int] = []
-        leaf_bits: list[int] = []
-        leaf_symbols: list[int] = []
-        for symbol, code in self._codes.items():
-            node = 0
-            node_ids: list[int] = []
-            for depth in range(len(code)):
-                node_ids.append(node)
-                if node < 0:
-                    break
-                if depth < len(code) - 1:
-                    node = child[node][code[depth]]
-            complete = len(node_ids) == len(code)
-            paths[symbol] = (tuple(node_ids), code if complete else code[: len(node_ids)])
-            if code and complete and node_ids[-1] >= 0:
-                leaf_parents.append(node_ids[-1])
-                leaf_bits.append(code[-1])
-                leaf_symbols.append(symbol)
-        self._paths = paths
+        symbols = sorted(self._codes)
+        codes = [self._codes[s] for s in symbols]
+        lengths = np.asarray([len(code) for code in codes], dtype=np.int64)
+        width = int(lengths.max(initial=0))
+        bit_table = np.asarray(
+            [code + (0,) * (width - len(code)) for code in codes], dtype=bool
+        ).reshape(len(codes), width)
+        node_table = np.full((len(codes), width), -1, dtype=np.int64)
+        nodes = np.zeros(len(codes), dtype=np.int64)
+        for depth in range(width):
+            walking = depth < lengths
+            node_table[walking, depth] = nodes[walking]
+            step = self._child[np.maximum(nodes, 0), bit_table[:, depth].astype(np.int64)]
+            nodes = np.where(nodes >= 0, step, -1)
+        depths = np.where((lengths > 0) & ((node_table >= 0).sum(axis=1) == lengths), lengths, 0)
+        node_rows = node_table.tolist()
+        self._paths = {
+            s: (tuple(node_rows[row][:depth]), codes[row])
+            for row, (s, depth) in enumerate(zip(symbols, depths.tolist()))
+            if depth
+        }
+        rows = np.flatnonzero(depths)
+        last = depths[rows] - 1
+        sides = (node_table[rows, last], bit_table[rows, last].astype(np.int64))
         self._leaf_symbol = np.zeros((max(self._num_nodes, 1), 2), dtype=np.int64)
         self._has_leaf = np.zeros((max(self._num_nodes, 1), 2), dtype=bool)
-        if leaf_parents:
-            self._leaf_symbol[leaf_parents, leaf_bits] = leaf_symbols
-            self._has_leaf[leaf_parents, leaf_bits] = True
-
-        symbols = sorted(paths)
-        rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        for s in symbols:
-            node_ids, bits = paths[s]
-            if (node_ids and node_ids[-1] < 0) or len(node_ids) != len(self._codes[s]):
-                rows.append(((), ()))
-            else:
-                rows.append((node_ids, bits))
-        depths = np.asarray([len(row[0]) for row in rows], dtype=np.int64)
-        max_depth = int(depths.max()) if depths.size else 0
-        node_table = np.full((len(rows), max_depth), -1, dtype=np.int64)
-        bit_table = np.zeros((len(rows), max_depth), dtype=bool)
-        for r, (node_ids, bits) in enumerate(rows):
-            node_table[r, : len(node_ids)] = node_ids
-            bit_table[r, : len(bits)] = bits
+        self._leaf_symbol[sides] = np.asarray(symbols, dtype=np.int64)[rows]
+        self._has_leaf[sides] = True
         self._pair_tables = (np.asarray(symbols, dtype=np.int64), depths, node_table, bit_table)
 
     # ------------------------------------------------------------------ #
@@ -359,7 +437,7 @@ class WaveletTree:
         ones = (
             self._cum[blocks]
             - self._node_base[nodes]
-            + np.bitwise_count(words & _LOW_MASKS[within])
+            + np.bitwise_count(words & LOW_MASKS[within])
         )
         return ones, words, within
 
@@ -510,7 +588,7 @@ class WaveletTree:
         current = pos
         while active.size:
             ones, words, within = self._node_rank1(nodes, current)
-            bits = (words & _BITS[within]) != 0
+            bits = (words & BIT_MASKS[within]) != 0
             current = np.where(bits, ones, current - ones)
             sides = nodes * 2 + bits
             leaf = has_leaf[sides]

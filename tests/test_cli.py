@@ -54,7 +54,7 @@ class TestBuildAndQuery:
         assert main(["build", "--input", str(jsonl_dataset), "--output", str(output)]) == 0
         build_output = capsys.readouterr().out
         assert "index size" in build_output
-        assert (output / "bwt.npz").exists()
+        assert (output / "cinct.npz").exists()
         assert (output / "engine.json").exists()
 
         assert main(["query", "--index", str(output), "b", "c", "d"]) == 0
@@ -145,6 +145,7 @@ class TestBuildAndQuery:
         assert "cache     : on" in out
         assert "misses=1" in out
         assert "epoch     : 0" in out
+        assert " bits counted, " in out and " held, 0 mapped" in out
 
     def test_query_no_cache_flag(self, jsonl_dataset, tmp_path, capsys):
         output = tmp_path / "index"
@@ -184,22 +185,13 @@ class TestBuildAndQuery:
         assert main(["build", "--dataset", "roma", "--scale", "0.05", "--output", str(output)]) == 0
         assert (output / "engine.json").exists()
 
-    def test_query_legacy_save_cinct_directory(self, tmp_path, capsys):
-        # Directories written by the legacy CiNCT-only format stay queryable.
-        from repro.core import CiNCT
-        from repro.io import save_cinct
-        from repro.strings import build_trajectory_string, burrows_wheeler_transform
-
-        trajectory_string = build_trajectory_string(
-            [["a", "b", "c", "d"], ["b", "c", "d", "e"]]
-        )
-        bwt_result = burrows_wheeler_transform(
-            trajectory_string.text, sigma=trajectory_string.sigma
-        )
-        index = CiNCT(bwt_result, block_size=15)
-        save_cinct(index, bwt_result, tmp_path / "legacy", trajectory_string=trajectory_string)
-        assert main(["query", "--index", str(tmp_path / "legacy"), "b", "c", "d"]) == 0
-        assert "matches   : 2" in capsys.readouterr().out
+    def test_query_older_format_asks_for_a_rebuild(self, tmp_path, capsys):
+        # A directory of the retired CiNCT-only layout is no longer queryable.
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        (legacy / "index.json").write_text('{"format_version": 1}', encoding="utf-8")
+        assert main(["query", "--index", str(legacy), "b", "c", "d"]) == 2
+        assert "rebuild the index from its trajectories" in capsys.readouterr().err
 
     def test_build_requires_source(self, tmp_path, capsys):
         assert main(["build", "--output", str(tmp_path / "x")]) == 2

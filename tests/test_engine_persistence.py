@@ -15,8 +15,13 @@ from repro.engine import (
     build_engine,
     sample_paths,
 )
-from repro.exceptions import ConstructionError, DatasetError, IndexCorruptionError
-from repro.io import load_index, save_cinct, save_index
+from repro.exceptions import (
+    ConstructionError,
+    DatasetError,
+    IndexCorruptionError,
+    unsupported_format_message,
+)
+from repro.io import load_index, save_index
 from repro.network import grid_network
 from repro.trajectories import TrajectoryDataset, straight_biased_walks
 
@@ -147,22 +152,6 @@ def test_engine_json_carries_no_raw_timestamps(fleet_dataset, tmp_path):
     assert reloaded.timestamp_store.size_in_bits() == engine.timestamp_store.size_in_bits()
 
 
-def test_legacy_json_timestamp_document_loads(fleet_dataset, tmp_path):
-    # Version-1 engine.json documents (raw timestamp lists, no npz) still load.
-    engine = TrajectoryEngine.build(fleet_dataset, EngineConfig(backend="cinct"))
-    engine.save(tmp_path / "index")
-    document_path = tmp_path / "index" / "engine.json"
-    document = json.loads(document_path.read_text(encoding="utf-8"))
-    document["format_version"] = 1
-    del document["timestamps_file"]
-    document["timestamps"] = [list(times) for times in engine.timestamps]
-    document_path.write_text(json.dumps(document), encoding="utf-8")
-    (tmp_path / "index" / "timestamps.npz").unlink()
-    reloaded = load_index(tmp_path / "index")
-    assert reloaded.timestamps == engine.timestamps
-    assert reloaded.shards[0].temporal is not None
-
-
 def test_missing_timestamp_archive_rejected(fleet_dataset, tmp_path):
     engine = TrajectoryEngine.build(fleet_dataset, EngineConfig(backend="cinct"))
     engine.save(tmp_path / "index")
@@ -176,10 +165,26 @@ def test_missing_directory_rejected(tmp_path):
         load_index(tmp_path / "nothing-here")
 
 
-def test_legacy_directory_detected(tmp_path, medium_bwt, medium_cinct):
-    save_cinct(medium_cinct, medium_bwt, tmp_path / "legacy")
-    with pytest.raises(DatasetError, match="legacy"):
-        load_index(tmp_path / "legacy")
+@pytest.mark.parametrize("layout", ["format-5", "save_cinct"])
+def test_older_formats_rejected_with_canonical_error(fleet_dataset, tmp_path, layout):
+    # Only format 6 loads; an older document names its version and asks for
+    # a rebuild from the trajectories.
+    target = tmp_path / "index"
+    if layout == "format-5":
+        TrajectoryEngine.build(fleet_dataset, EngineConfig(backend="cinct")).save(target)
+        document_path = target / "engine.json"
+        document = json.loads(document_path.read_text(encoding="utf-8"))
+        document["format_version"] = version = 5
+        document_path.write_text(json.dumps(document), encoding="utf-8")
+    else:  # the retired CiNCT-only layout: index.json beside bwt.npz
+        target.mkdir()
+        version = 1
+        (target / "index.json").write_text(json.dumps({"format_version": version}), encoding="utf-8")
+        np.savez(target / "bwt.npz", format_version=np.asarray([version]))
+    with pytest.raises(ConstructionError) as caught:
+        load_index(target)
+    assert str(caught.value) == unsupported_format_message(version, 6)
+    assert "rebuild the index from its trajectories" in str(caught.value)
 
 
 def test_corrupted_version_rejected(fleet_dataset, tmp_path):

@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.core import CiNCT
-from repro.exceptions import ConstructionError, DatasetError
-from repro.fmindex import sample_patterns
+from repro.exceptions import DatasetError
 from repro.io import (
-    load_cinct,
     load_dataset_csv,
     load_dataset_jsonl,
-    save_cinct,
     save_dataset_csv,
     save_dataset_jsonl,
 )
@@ -113,58 +108,3 @@ class TestBWTPersistence:
     def test_missing_archive(self, tmp_path):
         with pytest.raises(DatasetError):
             load_bwt_result(tmp_path / "missing.npz")
-
-
-class TestIndexPersistence:
-    def test_counts_survive_roundtrip(self, medium_bwt, medium_reference, tmp_path):
-        index = CiNCT(medium_bwt, block_size=31, sa_sample_rate=8)
-        save_cinct(index, medium_bwt, tmp_path / "index")
-        saved = load_cinct(tmp_path / "index")
-        rng = np.random.default_rng(11)
-        for pattern in sample_patterns(medium_bwt, 6, 20, rng):
-            assert saved.index.count(pattern) == medium_reference.count(pattern)
-
-    def test_parameters_survive_roundtrip(self, medium_bwt, tmp_path):
-        index = CiNCT(medium_bwt, block_size=15, sa_sample_rate=4)
-        save_cinct(index, medium_bwt, tmp_path / "index")
-        saved = load_cinct(tmp_path / "index")
-        assert saved.index.block_size == 15
-        assert saved.index.labeling_strategy == "bigram"
-        # locate still works because the SA sampling rate was persisted
-        assert isinstance(saved.index.locate(0), int)
-
-    def test_alphabet_roundtrip(self, medium_bwt, medium_trajectory_string, medium_cinct, tmp_path):
-        save_cinct(medium_cinct, medium_bwt, tmp_path / "index", trajectory_string=medium_trajectory_string)
-        saved = load_cinct(tmp_path / "index")
-        assert saved.alphabet is not None
-        edges = medium_trajectory_string.trajectory_edges(0)[:3]
-        pattern = saved.encode_pattern(edges)
-        assert pattern == medium_trajectory_string.encode_pattern(edges)
-
-    def test_encode_without_alphabet_raises(self, medium_bwt, medium_cinct, tmp_path):
-        save_cinct(medium_cinct, medium_bwt, tmp_path / "index")
-        saved = load_cinct(tmp_path / "index")
-        with pytest.raises(ConstructionError):
-            saved.encode_pattern(["a"])
-
-    def test_missing_metadata(self, tmp_path):
-        with pytest.raises(DatasetError):
-            load_cinct(tmp_path / "nothing-here")
-
-    def test_corrupted_metadata_version(self, medium_bwt, medium_cinct, tmp_path):
-        directory = save_cinct(medium_cinct, medium_bwt, tmp_path / "index")
-        metadata_path = directory / "index.json"
-        metadata = json.loads(metadata_path.read_text(encoding="utf-8"))
-        metadata["format_version"] = 999
-        metadata_path.write_text(json.dumps(metadata), encoding="utf-8")
-        with pytest.raises(ConstructionError):
-            load_cinct(directory)
-
-    def test_mismatched_metadata_rejected(self, medium_bwt, medium_cinct, tmp_path):
-        directory = save_cinct(medium_cinct, medium_bwt, tmp_path / "index")
-        metadata_path = directory / "index.json"
-        metadata = json.loads(metadata_path.read_text(encoding="utf-8"))
-        metadata["length"] = metadata["length"] + 1
-        metadata_path.write_text(json.dumps(metadata), encoding="utf-8")
-        with pytest.raises(ConstructionError):
-            load_cinct(directory)

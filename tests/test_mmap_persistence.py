@@ -5,8 +5,8 @@ bit-identically to a fully deserialized one, the large immutable arrays are
 genuine read-only ``np.memmap`` windows into the saved ``.npz`` archives
 (so N shard worker processes share one page-cache copy), and growth on a
 mapped engine **copies on grow** — the on-disk artefact bytes never change
-underneath other processes mapping the same files.  Checksums, the v5
-layout and compressed legacy archives all keep working.
+underneath other processes mapping the same files.  Checksums, the format-6
+layout and compressed archives all keep working.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from repro.network import grid_network
 from repro.temporal.store import TimestampStore
 from repro.trajectories import TrajectoryDataset, straight_biased_walks
 
-#: Backends covering each artefact family: BWT archives (cinct + an FM
-#: baseline), per-partition archives, and the raw trajectory string.
+#: Backends covering each artefact family: the CiNCT archive, an FM
+#: baseline's BWT archive, per-partition archives, and the raw string.
 MMAP_BACKENDS = ("cinct", "ufmi", "partitioned-cinct", "linear-scan")
 
 
@@ -73,7 +73,9 @@ def _mapped_artefact(engine, backend: str):
         return engine.shards[0].backend.trajectory_string.text
     if backend == "partitioned-cinct":
         partition = next(iter(engine.shards[0].backend.partitioned.partitions()))
-        return partition.bwt_result.bwt
+        return partition.index.arrays()["sa_samples"]
+    if backend == "cinct":
+        return engine.shards[0].backend.index.arrays()["hwt_offsets"]
     return engine.shards[0].backend.bwt_result.bwt
 
 
@@ -160,11 +162,11 @@ def test_sharded_mmap_growth_copies_instead_of_writing_through(
 def test_mmap_checksums_still_verified(fleet_dataset, tmp_path):
     config = EngineConfig(backend="cinct", block_size=31, sa_sample_rate=8)
     save_index(build_engine(fleet_dataset, config), tmp_path / "idx")
-    archive = tmp_path / "idx" / "bwt.npz"
+    archive = tmp_path / "idx" / "cinct.npz"
     blob = bytearray(archive.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     archive.write_bytes(bytes(blob))
-    with pytest.raises(IndexCorruptionError, match="bwt.npz"):
+    with pytest.raises(IndexCorruptionError, match="cinct.npz"):
         load_index(tmp_path / "idx", mmap=True)
 
 

@@ -31,7 +31,6 @@ from repro.engine import (
     sample_paths,
 )
 from repro.exceptions import QueryError
-from repro.io import load_index
 from repro.network import grid_network
 from repro.trajectories import TrajectoryDataset, straight_biased_walks
 
@@ -362,25 +361,12 @@ class TestEpochs:
         engine.consolidate()
         engine.save(tmp_path / "fleet")
         document = json.loads((tmp_path / "fleet" / "engine.json").read_text(encoding="utf-8"))
-        assert document["format_version"] == 5
+        assert document["format_version"] == 6
         assert document["epoch"] == 2
         reloaded = TrajectoryEngine.load(tmp_path / "fleet")
         assert reloaded.epoch == 2
         reloaded.add_batch([["x1", "x2"]])
         assert reloaded.epoch == 3
-
-    def test_version_2_documents_load_at_epoch_zero(self, fleet_dataset, tmp_path):
-        engine = TrajectoryEngine.build(fleet_dataset, EngineConfig(backend="cinct"))
-        engine.save(tmp_path / "index")
-        document_path = tmp_path / "index" / "engine.json"
-        document = json.loads(document_path.read_text(encoding="utf-8"))
-        document["format_version"] = 2
-        del document["epoch"]
-        document_path.write_text(json.dumps(document), encoding="utf-8")
-        reloaded = load_index(tmp_path / "index")
-        assert reloaded.epoch == 0
-        path = sample_paths(fleet_dataset, 3, 1, seed=8)[0]
-        assert reloaded.count(path) == engine.count(path)
 
 
 class TestPlanLayer:

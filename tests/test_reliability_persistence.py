@@ -5,7 +5,7 @@ The contract under test: ``save_index`` never leaves a directory in a state
 the previously promoted index bit-identically loadable (and no staging
 litter), a re-save replaces the directory wholesale (no stale shard
 artefacts), and any post-save corruption (truncation, bit rot, deletion)
-fails the format-v5 manifest check with one
+fails the format-6 manifest check with one
 :class:`~repro.exceptions.IndexCorruptionError` naming the torn artefact.
 """
 
@@ -70,16 +70,16 @@ def _tree(directory):
 
 
 # --------------------------------------------------------------------------- #
-# format v5: manifest round trips
+# format 6: manifest round trips
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-def test_v5_document_carries_manifest(fleet_dataset, tmp_path, num_shards):
+def test_document_carries_manifest(fleet_dataset, tmp_path, num_shards):
     engine = _build(fleet_dataset, num_shards)
     save_index(engine, tmp_path / "index")
     document = json.loads(
         (tmp_path / "index" / "engine.json").read_text(encoding="utf-8")
     )
-    assert document["format_version"] == 5
+    assert document["format_version"] == 6
     manifest = document["manifest"]
     assert manifest, "the manifest must cover at least one artefact"
     for entry in manifest.values():
@@ -263,55 +263,13 @@ def test_corruption_error_is_canonical(fleet_dataset, tmp_path):
         load_index(tmp_path / "index")
 
 
-# --------------------------------------------------------------------------- #
-# backward compatibility: v4 documents load and upgrade on re-save
-# --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-def test_v4_document_loads_and_upgrades(
-    fleet_dataset, tmp_path, probe_path, num_shards
-):
-    engine = _build(fleet_dataset, num_shards)
-    target = tmp_path / "index"
-    save_index(engine, target)
-    # Rewrite the document(s) as the v4 generation wrote them: no manifest.
-    for document_path in sorted(target.rglob("engine.json")):
-        document = json.loads(document_path.read_text(encoding="utf-8"))
-        document.pop("manifest", None)
-        document["format_version"] = 4
-        document_path.write_text(json.dumps(document), encoding="utf-8")
-    reloaded = load_index(target)
-    assert reloaded.count(probe_path) == engine.count(probe_path)
-    save_index(reloaded, target)  # re-save upgrades in place
-    upgraded = json.loads((target / "engine.json").read_text(encoding="utf-8"))
-    assert upgraded["format_version"] == 5
-    assert "manifest" in upgraded
-    assert load_index(target).count(probe_path) == engine.count(probe_path)
-
-
-def test_v4_document_loads_unchecksummed(fleet_dataset, tmp_path, probe_path):
-    # A pre-manifest document must not fail on artefacts it never hashed —
-    # only genuine parse failures surface (still canonically).
-    engine = _build(fleet_dataset, 1)
-    target = tmp_path / "index"
-    save_index(engine, target)
-    document_path = target / "engine.json"
-    document = json.loads(document_path.read_text(encoding="utf-8"))
-    document.pop("manifest")
-    document["format_version"] = 4
-    document_path.write_text(json.dumps(document), encoding="utf-8")
-    assert load_index(target).count(probe_path) == engine.count(probe_path)
-    faults.corrupt_artifact(target / "timestamps.npz", mode="truncate")
-    with pytest.raises(IndexCorruptionError, match="timestamps.npz"):
-        load_index(target)
-
-
 def test_engine_save_goes_through_crash_safe_path(fleet_dataset, tmp_path):
     # The method surface (engine.save / TrajectoryEngine.load) rides the
-    # same staged v5 writer as the free functions.
+    # same staged format-6 writer as the free functions.
     engine = TrajectoryEngine.build(fleet_dataset, EngineConfig(backend="cinct"))
     engine.save(tmp_path / "index")
     document = json.loads(
         (tmp_path / "index" / "engine.json").read_text(encoding="utf-8")
     )
-    assert document["format_version"] == 5
+    assert document["format_version"] == 6
     assert "manifest" in document

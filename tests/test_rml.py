@@ -82,9 +82,11 @@ class TestRequirement:
             paper_rml.label_slots([0], [b])
 
     def test_labels_must_be_dense_per_context(self):
-        """Slots assume every context labels its edges 1 .. out-degree."""
-        with pytest.raises(ConstructionError):
-            RMLFunction({(0, 1): 1, (0, 2): 3}, {(0, 1): 1, (0, 3): 2})
+        """Slot offsets must tile the targets: labels 1 .. out-degree per context."""
+        targets = np.asarray([1, 2, 3])
+        for offsets in ([0, 2, 1, 3], [1, 2, 3], [0, 1, 2]):
+            with pytest.raises(ConstructionError):
+                RMLFunction(np.asarray(offsets), targets)
 
     def test_max_label_bounded_by_max_out_degree(self, medium_graph):
         rml = build_rml(medium_graph, strategy="bigram")

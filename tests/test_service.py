@@ -385,7 +385,10 @@ class TestCoalescer:
         async def main():
             coalescer = MicroBatchCoalescer(
                 slow,
-                ServiceConfig(batch_window_ms=5.0, max_batch_size=2, worker_threads=1),
+                # A window far longer than the test: the third request is
+                # still waiting in it when the drain begins, however slow the
+                # host.
+                ServiceConfig(batch_window_ms=10_000, max_batch_size=2, worker_threads=1),
             )
             # Two fill a batch and dispatch immediately (in flight)...
             in_flight = [

@@ -291,7 +291,7 @@ class TestShardedPersistenceLayout:
         document = json.loads(
             (tmp_path / "fleet" / "engine.json").read_text(encoding="utf-8")
         )
-        assert document["format_version"] == 5
+        assert document["format_version"] == 6
         assert document["num_shards"] == 3
         assert document["shards"] == ["shard_00", "shard_01", "shard_02"]
         for name in document["shards"]:
