@@ -76,9 +76,9 @@ def test_fig10_dataset_panel(benchmark, dataset, report):
     assert cinct.search_time_us < by_method["UFMI"].search_time_us
     # Size: on the physically connected datasets CiNCT is smaller than both
     # ICB-Huff and the uncompressed index.  On the gapped Singapore analogue
-    # the ET-graph constant overhead does not amortise at reduced |T| (see
-    # EXPERIMENTS.md), so only the entropy-level win (vs UFMI-scale sizes
-    # without compression) is asserted there.
+    # the ET-graph's cost is fixed by its edge count and does not amortise
+    # over a trajectory string this short, so only the entropy-level win (vs
+    # UFMI-scale sizes without compression) is asserted there.
     if dataset != "Singapore":
         assert cinct.bits_per_symbol < by_method["ICB-Huff"].bits_per_symbol
         assert cinct.bits_per_symbol < by_method["UFMI"].bits_per_symbol

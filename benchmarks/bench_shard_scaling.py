@@ -13,10 +13,11 @@ Pins three properties of the sharded fleet layer
   >= 1.5x target at 4 shards is enforced via
   :func:`repro.bench.assert_at_scale` — only at full scale and on hosts with
   >= 4 CPUs; a single-core host just records the table.
-* **Zero-copy loads** — a saved fleet is reloaded both ways:
-  full deserialization versus ``load_index(..., mmap=True)``, which maps the
-  large immutable arrays read-only so N shard workers share one page-cache
-  copy.  Both load times land in the baseline payload.
+* **Zero-copy loads** — a saved fleet is reloaded both ways, in
+  ``N_LOAD_PAIRS`` interleaved pairs: full deserialization versus
+  ``load_index(..., mmap=True)``, which maps the large immutable arrays
+  read-only so N shard workers share one page-cache copy.  The median and
+  quartiles of each side land in the baseline payload.
 * **Cache retention under growth** — the reason the layer exists even on one
   core: with per-shard growth epochs, ``add_batch`` routed to one shard must
   leave the other shards' warm result caches intact.  The benchmark warms a
@@ -62,6 +63,8 @@ N_DISTINCT = max(int(200 * min(BENCH_SCALE, 1.0)), N_PATTERNS, 10)
 PATTERN_LENGTH = 8
 #: High-frequency locate patterns (short paths -> many occurrences to split).
 N_LOCATE = max(N_DISTINCT // 4, 5)
+#: Interleaved (full, mmap) reload pairs timed by ``measure_load_times``.
+N_LOAD_PAIRS = 10
 
 
 def _trajectories():
@@ -164,30 +167,38 @@ def measure_throughput(report_rows: list[dict]) -> dict[str, dict[int, float]]:
     return seconds
 
 
-def measure_load_times() -> dict[str, float]:
-    """Time a full deserializing reload versus a zero-copy mmap reload.
+def measure_load_times() -> dict[str, object]:
+    """Time full deserializing reloads against zero-copy mmap reloads.
 
-    A 4-shard fleet is saved once; ``mmap=True`` maps the large immutable
-    arrays read-only instead of copying them into fresh allocations, which is
-    both faster to open and lets every shard worker process share a single
-    page-cache copy of the artefacts.
+    A 4-shard fleet is saved once, then reloaded in ``N_LOAD_PAIRS``
+    interleaved pairs.  Every other pair runs the mmap load first, so
+    neither side always follows the other's page-cache and allocator
+    state.  ``mmap=True`` maps the large immutable arrays read-only instead
+    of copying them into fresh allocations, which is both faster to open and
+    lets every shard worker process share a single page-cache copy of the
+    artefacts.  Each side reports its median and quartiles.
     """
     engine = build_fleet(4)
+    probe = sample_paths(_trajectories(), PATTERN_LENGTH, 5, seed=7)
+    expected = engine.count_many(probe)
+    samples: dict[bool, list[float]] = {False: [], True: []}
     with tempfile.TemporaryDirectory(prefix="repro-bench-mmap-") as tmp:
         directory = Path(tmp) / "fleet"
         save_index(engine, directory)
-
-        started = time.perf_counter()
-        full = load_index(directory)
-        load_full = time.perf_counter() - started
-
-        started = time.perf_counter()
-        mapped = load_index(directory, mmap=True)
-        load_mmap = time.perf_counter() - started
-
-        probe = sample_paths(_trajectories(), PATTERN_LENGTH, 5, seed=7)
-        assert mapped.count_many(probe) == full.count_many(probe)
-    return {"full_deserialize_seconds": load_full, "mmap_seconds": load_mmap}
+        for pair in range(N_LOAD_PAIRS):
+            for mmap in (pair % 2 == 1, pair % 2 == 0):
+                started = time.perf_counter()
+                loaded = load_index(directory, mmap=mmap)
+                samples[mmap].append(time.perf_counter() - started)
+                assert loaded.count_many(probe) == expected
+                loaded.close()
+    engine.close()
+    times: dict[str, object] = {"pairs": N_LOAD_PAIRS}
+    for mmap, name in ((False, "full_deserialize"), (True, "mmap")):
+        q1, median, q3 = np.percentile(samples[mmap], [25, 50, 75])
+        times[f"{name}_seconds"] = float(median)
+        times[f"{name}_quartiles"] = [float(q1), float(q3)]
+    return times
 
 
 def measure_retention() -> dict[str, float]:
@@ -237,10 +248,11 @@ def test_shard_scaling(report) -> None:
         f"{retention['1_shards']:.0%}, 4 shards {retention['4_shards']:.0%} "
         f"(untouched shards' replay hits)"
     )
-    load_line = (
-        f"4-shard fleet reload: full deserialize "
-        f"{load_times['full_deserialize_seconds'] * 1e3:.1f} ms, "
-        f"mmap {load_times['mmap_seconds'] * 1e3:.1f} ms"
+    load_line = f"4-shard fleet reload, median [quartiles] of {N_LOAD_PAIRS} pairs: " + ", ".join(
+        f"{name} {load_times[f'{key}_seconds'] * 1e3:.1f} ms "
+        f"[{load_times[f'{key}_quartiles'][0] * 1e3:.1f}, "
+        f"{load_times[f'{key}_quartiles'][1] * 1e3:.1f}]"
+        for name, key in (("full deserialize", "full_deserialize"), ("mmap", "mmap"))
     )
     report.add(
         "Shard scaling (fan-out/merge, executors, shard-scoped caches)",

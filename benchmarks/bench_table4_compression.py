@@ -84,7 +84,8 @@ def test_table4_full_table(benchmark, report):
 
     # Paper-shape checks.  Absolute ratios differ because |T|/sigma is ~1000x
     # smaller here, which leaves CiNCT's self-index overheads (ET-graph,
-    # correction terms, C[]) un-amortised — EXPERIMENTS.md quantifies this.
+    # correction terms, C[]) un-amortised: the ET-graph cost is fixed by its
+    # edge count and does not amortise over a short trajectory string.
     # The qualitative points that do transfer:
     # 1. Gap interpolation dramatically improves CiNCT's ratio
     #    (10.5 -> 27.0 in the paper).

@@ -14,8 +14,8 @@ facade:
    built *without* ``sa_sample_rate`` (the partitions fall back to their
    retained suffix arrays),
 3. persist the grown engine with :meth:`TrajectoryEngine.save` and reload it
-   with :meth:`TrajectoryEngine.load` — the same two calls persist *any*
-   registered backend; timestamps land in a ``timestamps.npz`` artefact next
+   with :meth:`TrajectoryEngine.load` — the same two calls persist either
+   backend; timestamps land in a ``timestamps.npz`` artefact next
    to ``engine.json``, never as raw JSON arrays,
 4. export the accumulated trips as JSON Lines and read them back.
 
@@ -92,8 +92,8 @@ def main() -> None:
     print()
 
     with tempfile.TemporaryDirectory() as tmp:
-        # ---- universal persistence ---------------------------------------- #
-        # save()/load() work for every backend; here the partitioned fleet...
+        # ---- persistence ---------------------------------------------------- #
+        # save()/load() work for both backends; here the partitioned fleet...
         fleet_dir = Path(tmp) / "fleet-partitioned"
         growing.save(fleet_dir)
         on_disk = sum(f.stat().st_size for f in fleet_dir.iterdir())

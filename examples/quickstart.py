@@ -1,4 +1,4 @@
-"""Quickstart: one engine API over every index backend.
+"""Quickstart: one engine API over both index backends.
 
 This walks through the paper's running example (Fig. 1a) — four
 network-constrained trajectories over six road segments A-F — using the
@@ -9,7 +9,8 @@ network-constrained trajectories over six road segments A-F — using the
 * extract a sub-path from the compressed representation (Algorithm 4),
 * attach per-segment timestamps and run a time-windowed strict-path query
   (the timestamps live in the engine's compressed TimestampStore),
-* run the same queries against every registered backend via the registry.
+* run the same queries against both backends: ``cinct`` and the growing
+  ``partitioned-cinct``.
 
 Run with:  python examples/quickstart.py
 """
@@ -99,7 +100,7 @@ def main() -> None:
           f"misses={stats['misses']} (epoch {engine.epoch})")
     print()
 
-    # --- The same API over every registered backend ------------------------ #
+    # --- The same API over both backends ------------------------------------ #
     probe = ["A", "B"]
     for name in available_backends():
         backend_engine = TrajectoryEngine.build(

@@ -7,10 +7,10 @@ This package reimplements, in pure Python, the system described in
     relative movement labeling", ICDE 2018.
 
 The public API is re-exported here; the repository's top-level ``README.md``
-has a quickstart and the full backend inventory.
+has a quickstart and the backend table.
 
 The recommended entry point is the engine facade, which speaks raw edge
-sequences and works identically for every registered index backend::
+sequences and works identically for both index backends::
 
     from repro.engine import TrajectoryEngine, EngineConfig
 
@@ -34,7 +34,6 @@ from .engine import (
     EngineConfig,
     TrajectoryEngine,
     available_backends,
-    register_backend,
 )
 from .core import (
     CiNCT,
@@ -111,7 +110,6 @@ __all__ = [
     "TrajectoryEngine",
     "EngineConfig",
     "available_backends",
-    "register_backend",
     # core
     "CiNCT",
     "ConstructionBreakdown",

@@ -1,22 +1,22 @@
 """Command-line interface for the CiNCT reproduction.
 
-The CLI sits on the :class:`~repro.engine.TrajectoryEngine` facade, so every
-sub-command works with every registered index backend (``--backend``):
+The CLI sits on the :class:`~repro.engine.TrajectoryEngine` facade, so the
+index sub-commands work with either engine backend (``--backend``):
 
 ``repro-cinct stats``
     Print Table-III-style statistics for a named dataset analogue.
 ``repro-cinct build``
     Build an index from a JSONL/CSV trajectory file (or a named analogue)
-    with any registered backend and persist it to a directory.
+    with either backend and persist it to a directory.
 ``repro-cinct query``
     Load a persisted index and run a path query (optionally a strict-path
     query with ``--t-start``/``--t-end``); ``--verbose`` adds result-cache
     and interval-cache statistics and the growth epoch, ``--no-cache``
     bypasses the result cache.
 ``repro-cinct compare``
-    Build every requested backend on a dataset analogue and print the
-    size/time comparison of Fig. 10, including ``size_in_bits`` and
-    bits/symbol per backend straight from the registry.
+    Build the paper's methods (CiNCT and the Table-II FM-indexes) over one
+    BWT of a dataset analogue, as Fig. 10 does, and print each one's counted
+    ``size_in_bits``, bits/symbol, suffix-range search time and build time.
 ``repro-cinct serve``
     Load a persisted index and serve it over HTTP with micro-batch
     coalescing and admission control (see :mod:`repro.service`); flags
@@ -34,16 +34,17 @@ from pathlib import Path
 from typing import Hashable, Sequence
 
 from .analysis.stats import dataset_statistics
-from .bench.harness import format_table
-from .datasets.registry import load_dataset, paper_dataset_names
-from .engine import (
-    EngineConfig,
-    TrajectoryEngine,
-    available_backends,
-    backend_spec,
-    sample_paths,
+from .bench.harness import (
+    DEFAULT_VARIANTS,
+    build_all_indexes,
+    bwt_of_bundle,
+    format_table,
+    measure_search_time,
+    sample_query_workload,
 )
-from .exceptions import AlphabetError, ReproError
+from .datasets.registry import load_dataset, paper_dataset_names
+from .engine import EngineConfig, TrajectoryEngine, available_backends, backend_spec
+from .exceptions import AlphabetError, ConstructionError, DatasetError, ReproError
 from .io.dataset_io import load_dataset_csv, load_dataset_jsonl
 from .io.index_io import load_index
 
@@ -315,45 +316,36 @@ def _command_query(args: argparse.Namespace) -> int:
     return 0
 
 
+def _paper_methods(requested: Sequence[str]) -> list[str]:
+    """Requested method names, matched case-insensitively, in Table-II order."""
+    known = {name.lower(): name for name in DEFAULT_VARIANTS}
+    for name in requested:
+        if name.lower() not in known:
+            raise ConstructionError(
+                f"unknown index method: {name!r} (available: {', '.join(DEFAULT_VARIANTS)})"
+            )
+    wanted = {name.lower() for name in requested}
+    return [name for name in DEFAULT_VARIANTS if name.lower() in wanted]
+
+
 def _command_compare(args: argparse.Namespace) -> int:
+    methods = _paper_methods(args.variants)
     bundle = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    trajectories = [list(t) for t in bundle.symbol_trajectories]
-    paths = sample_paths(trajectories, args.pattern_length, args.n_patterns, seed=0)
-    # The pipeline dedupes identical plans inside a batch, so only distinct
-    # patterns execute; report the mean over the work actually performed.
-    n_distinct = len({tuple(path) for path in paths})
+    bwt_result = bwt_of_bundle(bundle)
+    try:
+        patterns = sample_query_workload(bwt_result, args.pattern_length, args.n_patterns)
+    except ValueError as error:  # no separator-free window of that length
+        raise DatasetError(str(error)) from error
     rows = []
-    # Resolve aliases, dedupe, and iterate in the deterministic
-    # available_backends() order so the output rows are stable across runs.
-    requested = {backend_spec(name).name for name in args.variants}
-    ordered = [name for name in available_backends() if name in requested]
-    for name in ordered:
-        spec = backend_spec(name)
-        config = EngineConfig(
-            backend=spec.name,
-            block_size=args.block_size,
-            num_shards=args.num_shards,
-            shard_workers=args.shard_workers,
-            shard_executor=args.shard_executor or "threads",
-        )
-        started = time.perf_counter()
-        engine = TrajectoryEngine.build(trajectories, config)
-        build_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        engine.count_many(paths)
-        mean_us = (time.perf_counter() - started) / max(n_distinct, 1) * 1e6
-        method = spec.display_name
-        if args.num_shards > 1:
-            method = f"{method} x{args.num_shards}"
+    for built in build_all_indexes(bwt_result, methods, block_size=args.block_size):
+        timing = measure_search_time(built.index, patterns)
         rows.append(
             {
-                "method": method,
-                "size (bits)": engine.size_in_bits(),
-                # exact TimestampStore accounting (0 without timestamps)
-                "temporal (bits)": engine.temporal_size_in_bits(),
-                "bits/symbol": round(engine.bits_per_symbol(), 2),
-                "search (us)": round(mean_us, 1),
-                "build (s)": round(build_seconds, 2),
+                "method": built.name,
+                "size (bits)": built.index.size_in_bits(),
+                "bits/symbol": round(built.bits_per_symbol(), 2),
+                "search (us)": round(timing.mean_microseconds, 1),
+                "build (s)": round(built.build_seconds, 2),
             }
         )
     print(format_table(rows, title=f"{bundle.name} — size vs search time"))
@@ -416,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--seed", type=int, default=None)
     stats.set_defaults(handler=_command_stats)
 
-    build = subparsers.add_parser("build", help="build and persist an index (any backend)")
+    build = subparsers.add_parser("build", help="build and persist an index (either backend)")
     _add_dataset_arguments(build)
     _add_backend_arguments(build)
     build.add_argument("--output", type=Path, required=True, help="directory for the saved index")
@@ -446,39 +438,21 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("path", nargs="+", help="road segments of the query path, in travel order")
     query.set_defaults(handler=_command_query)
 
-    compare = subparsers.add_parser("compare", help="compare index backends on a dataset analogue")
+    compare = subparsers.add_parser(
+        "compare", help="compare the paper's indexes on a dataset analogue (Fig. 10)"
+    )
     compare.add_argument("--dataset", choices=paper_dataset_names(), required=True)
     compare.add_argument("--scale", type=float, default=0.2)
     compare.add_argument("--seed", type=int, default=None)
     compare.add_argument("--block-size", type=int, default=63)
-    compare.add_argument(
-        "--num-shards",
-        type=int,
-        default=1,
-        help="build every backend as a sharded fleet with this many shards",
-    )
-    compare.add_argument(
-        "--shard-workers",
-        type=int,
-        default=None,
-        help="bound on the sharded fan-out dispatchers (default: min(shards, CPUs))",
-    )
-    compare.add_argument(
-        "--shard-executor",
-        choices=("serial", "threads", "processes"),
-        default=None,
-        help="sharded fan-out strategy for every built fleet",
-    )
     compare.add_argument("--pattern-length", type=int, default=10)
     compare.add_argument("--n-patterns", type=int, default=20)
     compare.add_argument(
-        "--backends",
         "--variants",
-        dest="variants",
         nargs="+",
-        default=list(available_backends()),
-        metavar="BACKEND",
-        help="registry keys or display names (default: every registered backend)",
+        default=list(DEFAULT_VARIANTS),
+        metavar="METHOD",
+        help=f"methods to build (default: all of {', '.join(DEFAULT_VARIANTS)})",
     )
     compare.set_defaults(handler=_command_compare)
 

@@ -1,11 +1,10 @@
-"""Unified engine facade: one config/registry/query API over every backend.
+"""Unified engine facade: one config/backend/query API over CiNCT.
 
-* :class:`TrajectoryEngine` — build/persist/reload/query any registered index
+* :class:`TrajectoryEngine` — build/persist/reload/query either index
   backend with raw edge sequences (see :mod:`repro.engine.engine`);
 * :class:`EngineConfig` — the single construction-parameter surface;
-* the backend registry (:func:`available_backends`, :func:`register_backend`,
-  :class:`BackendSpec`) unifying CiNCT, the partitioned CiNCT, every Table-II
-  FM-index baseline and the linear-scan baseline;
+* the backend table (:func:`available_backends`, :func:`backend_spec`,
+  :class:`BackendSpec`): ``cinct`` and the growing ``partitioned-cinct``;
 * the typed query layer (:class:`CountQuery` ... :class:`StrictPathResult`)
   with the batch-first :meth:`TrajectoryEngine.run_many` entry point;
 * the staged query pipeline — normalize (:class:`QueryPlanner` /
@@ -20,14 +19,7 @@
   :class:`TrajectoryEngine` and :meth:`TrajectoryEngine.build`.
 """
 
-# Importing .backends populates the registry as a side effect.
-from .backends import (
-    CiNCTBackend,
-    EngineBackend,
-    FMBaselineBackend,
-    LinearScanBackend,
-    PartitionedBackend,
-)
+from .backends import CiNCTBackend, EngineBackend, PartitionedBackend
 from .config import EngineConfig
 from .engine import (
     EngineShard,
@@ -75,7 +67,7 @@ from .queries import (
     StrictPathQuery,
     StrictPathResult,
 )
-from .registry import BackendSpec, available_backends, backend_spec, backend_specs, register_backend
+from .registry import BackendSpec, available_backends, backend_spec
 
 __all__ = [
     "TrajectoryEngine",
@@ -99,18 +91,14 @@ __all__ = [
     "ShardTimeoutError",
     "WorkerCrashError",
     "run_shard_attempts",
-    # registry
+    # backend table
     "BackendSpec",
-    "register_backend",
     "backend_spec",
-    "backend_specs",
     "available_backends",
     # backends
     "EngineBackend",
     "CiNCTBackend",
     "PartitionedBackend",
-    "FMBaselineBackend",
-    "LinearScanBackend",
     # query pipeline
     "ALL_SHARDS",
     "QueryPlan",

@@ -1,30 +1,29 @@
-"""Backend adapters: one protocol over every index implementation.
+"""Backend adapters: one protocol over the engine's two CiNCT indexes.
 
-Each adapter wraps one of the repository's index structures — CiNCT, the
-partitioned CiNCT, the Table-II FM-index baselines, the linear-scan baseline —
-behind the uniform :class:`EngineBackend` surface the
-:class:`~repro.engine.TrajectoryEngine` facade drives:
+Each adapter wraps one of the repository's CiNCT structures — the monolithic
+index and the partitioned (growing) index — behind the uniform
+:class:`EngineBackend` surface the :class:`~repro.engine.TrajectoryEngine`
+facade drives:
 
 * symbol-level ``count`` / ``contains`` / ``count_many`` (the facade encodes
   raw edge paths before calling in);
 * ``locate_matches`` resolving every occurrence to travel-order coordinates
   via the shared :func:`~repro.queries.strict_path.resolve_text_positions`;
-* Algorithm-4 ``extract`` where a suffix structure exists;
-* ``save_state`` / ``load`` hooks dispatched by the universal persistence
-  layer in :mod:`repro.io.index_io`.
+* Algorithm-4 ``extract`` where one suffix structure spans the whole string;
+* ``save_state`` / ``load`` hooks dispatched by the persistence layer in
+  :mod:`repro.io.index_io`.
 
 The query surface doubles as the execution surface of the staged query
 pipeline: :class:`EngineBackend` structurally satisfies the
 :class:`~repro.engine.executor.PlanExecutor` protocol, so every adapter here
-(and any third-party one) executes canonical query plans without extra code.
-
-Importing this module populates the backend registry.
+executes canonical query plans without extra code.  The Table-II FM-index
+baselines are not engine backends: the paper compares them with CiNCT as
+standalone indexes over one BWT (:mod:`repro.bench.harness`).
 """
 
 from __future__ import annotations
 
 import abc
-from functools import partial
 from pathlib import Path
 from typing import Callable, Hashable, Sequence
 
@@ -33,15 +32,11 @@ import numpy as np
 from ..core.cinct import CiNCT
 from ..core.partitioned import Partition, PartitionedCiNCT, _TierIntervalView
 from ..exceptions import EMPTY_INDEX_MESSAGE, ConstructionError, DatasetError, QueryError
-from ..fmindex.base import FMIndexBase
-from ..fmindex.linear_scan import LinearScanIndex
-from ..fmindex.variants import available_baselines, build_baseline
 from ..queries.strict_path import resolve_text_positions
 from ..strings.alphabet import Alphabet
 from ..strings.bwt import BWTResult, burrows_wheeler_transform
 from ..strings.trajectory_string import TrajectoryString, build_trajectory_string
 from .config import EngineConfig
-from .registry import BackendSpec, register_backend
 
 #: ``(trajectory_id, start_edge_index, end_edge_index)`` in travel order.
 RawMatch = tuple[int, int, int]
@@ -53,22 +48,17 @@ def _cinct_kwargs(config: EngineConfig) -> dict[str, object]:
 
 
 class EngineBackend(abc.ABC):
-    """Uniform adapter surface every registered backend implements.
+    """Uniform adapter surface both backends implement.
 
     Capability flags live on the :class:`~repro.engine.registry.BackendSpec`
     (the single source of truth the facade and tests consult); adapters
-    enforce them by raising :class:`~repro.exceptions.QueryError` from the
-    default implementations below.
+    enforce them by raising from the default implementations below.  Every
+    search path accepts an ``interval_cache`` (the engine's epoch-invalidated
+    suffix-range cache) and resumes backward search from cached
+    pattern-prefix intervals.
     """
 
     spec_name: str = ""
-
-    #: True when the backend's search paths accept an ``interval_cache``
-    #: (the engine's epoch-invalidated suffix-range cache) and can resume
-    #: backward search from cached pattern-prefix intervals.  The executor
-    #: only threads the cache through when this is set, so backends without
-    #: suffix ranges (linear scan) are never handed one.
-    supports_interval_sharing: bool = False
 
     # ------------------------------------------------------------------ #
     # identity and bookkeeping
@@ -108,24 +98,17 @@ class EngineBackend(abc.ABC):
     def count_many(
         self, patterns: Sequence[Sequence[int]], interval_cache=None
     ) -> list[int]:
-        """Batched :meth:`count` (vectorized where the backend supports it).
+        """Batched :meth:`count` over one pattern trie."""
 
-        ``interval_cache`` is only ever passed when
-        :attr:`supports_interval_sharing` is true; backends without suffix
-        ranges are free to ignore it.
-        """
-
+    @abc.abstractmethod
     def contains(self, pattern: Sequence[int], interval_cache=None) -> bool:
         """True when the encoded pattern occurs at least once."""
-        return self.count(pattern) > 0
 
+    @abc.abstractmethod
     def locate_matches(
         self, pattern: Sequence[int], interval_cache=None
     ) -> list[RawMatch]:
         """Resolve every occurrence to travel-order trajectory coordinates."""
-        raise QueryError(
-            f"locate is not supported by the {self.spec_name!r} backend"
-        )
 
     def extract(self, row: int, length: int) -> list[int]:
         """Algorithm-4 extraction by BWT row (symbol output)."""
@@ -227,54 +210,13 @@ class _SingleStringBackend(EngineBackend):
         )
 
 
-class _StoredStringBackend(_SingleStringBackend):
-    """A backend that keeps its trajectory string (FM baselines, linear scan)."""
-
-    def __init__(self, trajectory_string: TrajectoryString):
-        super().__init__(
-            trajectory_string.alphabet,
-            np.asarray(trajectory_string.trajectory_offsets, dtype=np.int64),
-            np.asarray(trajectory_string.trajectory_lengths, dtype=np.int64),
-        )
-        self._trajectory_string = trajectory_string
-
-    @property
-    def trajectory_string(self) -> TrajectoryString:
-        """The indexed trajectory string (alphabet, offsets, lengths)."""
-        return self._trajectory_string
-
-    @property
-    def length(self) -> int:
-        return self._trajectory_string.length
-
-    def _string_meta(self) -> dict[str, object]:
-        return {
-            "trajectory_lengths": [int(v) for v in self._trajectory_string.trajectory_lengths],
-            "trajectory_offsets": [int(v) for v in self._trajectory_string.trajectory_offsets],
-        }
-
-    @staticmethod
-    def _string_from_meta(
-        text: np.ndarray, alphabet: Alphabet, meta: dict[str, object]
-    ) -> TrajectoryString:
-        # asanyarray keeps an np.memmap as a memmap (zero-copy loads);
-        # asarray would flatten it into an anonymous view.
-        return TrajectoryString(
-            text=np.asanyarray(text, dtype=np.int64),
-            alphabet=alphabet,
-            trajectory_lengths=[int(v) for v in meta["trajectory_lengths"]],  # type: ignore[union-attr]
-            trajectory_offsets=[int(v) for v in meta["trajectory_offsets"]],  # type: ignore[union-attr]
-        )
-
-
 class _BWTBackend(_SingleStringBackend):
-    """Shared query plumbing for BWT-based backends (CiNCT and the FM baselines)."""
+    """Shared query plumbing for a backend over one BWT (the ``cinct`` backend)."""
 
-    supports_interval_sharing = True
-    _index: CiNCT | FMIndexBase
+    _index: CiNCT
 
     @property
-    def index(self) -> CiNCT | FMIndexBase:
+    def index(self) -> CiNCT:
         """The wrapped index structure."""
         return self._index
 
@@ -374,152 +316,6 @@ class CiNCTBackend(_BWTBackend):
         return {}
 
 
-class FMBaselineBackend(_StoredStringBackend, _BWTBackend):
-    """Any Table-II FM-index baseline (UFMI, ICB-WM, ICB-Huff, FM-GMR, FM-AP-HYB).
-
-    It keeps the BWT artefacts (text, BWT, full suffix array) in ``bwt.npz``
-    and rebuilds the baseline from them on load.
-    """
-
-    def __init__(
-        self,
-        trajectory_string: TrajectoryString,
-        bwt_result: BWTResult,
-        index: FMIndexBase,
-        variant: str,
-    ):
-        super().__init__(trajectory_string)
-        self._bwt_result = bwt_result
-        self._index = index
-        self.spec_name = variant.lower()
-        self.variant = variant
-
-    @property
-    def bwt_result(self) -> BWTResult:
-        """The BWT artefacts the index was built from (kept for persistence)."""
-        return self._bwt_result
-
-    @classmethod
-    def build(
-        cls,
-        trajectories: Sequence[Sequence[Hashable]],
-        config: EngineConfig,
-        variant: str = "UFMI",
-    ) -> "FMBaselineBackend":
-        """Construct the named baseline from raw trajectories."""
-        trajectory_string, bwt_result = cls._build_artefacts(trajectories)
-        index = build_baseline(variant, bwt_result, block_size=config.block_size)
-        return cls(trajectory_string, bwt_result, index, variant)
-
-    @classmethod
-    def load(
-        cls,
-        directory: Path,
-        meta: dict[str, object],
-        config: EngineConfig,
-        alphabet: Alphabet,
-        variant: str = "UFMI",
-        mmap: bool = False,
-    ) -> "FMBaselineBackend":
-        """Rebuild the named baseline from persisted state."""
-        from ..io.index_io import load_bwt_result
-
-        bwt_result = load_bwt_result(
-            directory / "bwt.npz", mmap_mode="r" if mmap else None
-        )
-        trajectory_string = cls._string_from_meta(bwt_result.text, alphabet, meta)
-        index = build_baseline(variant, bwt_result, block_size=config.block_size)
-        return cls(trajectory_string, bwt_result, index, variant)
-
-    def _occurrence_positions(
-        self, pattern: Sequence[int], interval_cache=None
-    ) -> list[int]:
-        found = self._index.suffix_range(pattern, interval_cache=interval_cache)
-        if found is None:
-            return []
-        sp, ep = found
-        return [int(v) for v in self._bwt_result.suffix_array[sp:ep]]
-
-    def save_state(self, directory: Path) -> dict[str, object]:
-        from ..io.index_io import save_bwt_result
-
-        save_bwt_result(self._bwt_result, directory / "bwt.npz")
-        return self._string_meta()
-
-
-class LinearScanBackend(_StoredStringBackend):
-    """Boyer–Moore–Horspool scanning of the uncompressed trajectory string."""
-
-    spec_name = "linear-scan"
-
-    def __init__(self, trajectory_string: TrajectoryString):
-        super().__init__(trajectory_string)
-        self._index = LinearScanIndex(
-            trajectory_string.text, sigma=trajectory_string.sigma
-        )
-
-    @classmethod
-    def build(
-        cls, trajectories: Sequence[Sequence[Hashable]], config: EngineConfig
-    ) -> "LinearScanBackend":
-        """Construct the scanner from raw trajectories (no BWT needed)."""
-        return cls(build_trajectory_string(trajectories))
-
-    @classmethod
-    def load(
-        cls,
-        directory: Path,
-        meta: dict[str, object],
-        config: EngineConfig,
-        alphabet: Alphabet,
-        mmap: bool = False,
-    ) -> "LinearScanBackend":
-        """Rebuild the scanner from the persisted raw text.
-
-        ``mmap=True`` scans directly over a read-only map of the stored
-        text — the whole point of a no-index baseline served cold.
-        """
-        from ..io.npzutil import load_npz_arrays
-
-        path = directory / "text.npz"
-        if not path.exists():
-            raise DatasetError(f"linear-scan text archive not found: {path}")
-        text = load_npz_arrays(path, mmap_mode="r" if mmap else None)["text"]
-        if text.dtype != np.int64:
-            text = text.astype(np.int64)
-        return cls(cls._string_from_meta(text, alphabet, meta))
-
-    @property
-    def index(self) -> LinearScanIndex:
-        """The wrapped scanner."""
-        return self._index
-
-    def count(self, pattern: Sequence[int]) -> int:
-        return self._index.count(pattern)
-
-    def count_many(
-        self, patterns: Sequence[Sequence[int]], interval_cache=None
-    ) -> list[int]:
-        # No suffix structure, so there are no intervals to share or cache.
-        return self._index.count_many(patterns)
-
-    def contains(self, pattern: Sequence[int], interval_cache=None) -> bool:
-        return self._index.contains(pattern)
-
-    def size_in_bits(self) -> int:
-        return self._index.size_in_bits()
-
-    def _occurrence_positions(
-        self, pattern: Sequence[int], interval_cache=None
-    ) -> list[int]:
-        return self._index.occurrences(pattern)
-
-    def save_state(self, directory: Path) -> dict[str, object]:
-        # Uncompressed so load(..., mmap=True) can map the text in place.
-        np.savez(directory / "text.npz", text=self._trajectory_string.text)
-        return self._string_meta()
-
-
 # --------------------------------------------------------------------------- #
 # partitioned backend
 # --------------------------------------------------------------------------- #
@@ -527,7 +323,6 @@ class PartitionedBackend(EngineBackend):
     """Growing collection of CiNCT partitions over a shared alphabet."""
 
     spec_name = "partitioned-cinct"
-    supports_interval_sharing = True
 
     def __init__(self, partitioned: PartitionedCiNCT):
         self._partitioned = partitioned
@@ -715,7 +510,7 @@ class PartitionedBackend(EngineBackend):
         tail = snap.tail
         if tail is not None:
             archive = "tail.npz"
-            # Uncompressed npz, like the linear-scan backend's text artefact.
+            # Uncompressed npz, like every other archive of a saved index.
             np.savez(
                 directory / archive,
                 text=tail.trajectory_string.text[:-1],
@@ -728,59 +523,3 @@ class PartitionedBackend(EngineBackend):
                 "first_trajectory_id": int(tail.first_trajectory_id),
             }
         return meta
-
-
-# --------------------------------------------------------------------------- #
-# registry population
-# --------------------------------------------------------------------------- #
-register_backend(
-    BackendSpec(
-        name="cinct",
-        display_name="CiNCT",
-        factory=CiNCTBackend.build,
-        loader=CiNCTBackend.load,
-        description="RML-labelled BWT in a Huffman wavelet tree over RRR (the paper)",
-    )
-)
-register_backend(
-    BackendSpec(
-        name="partitioned-cinct",
-        display_name="CiNCT-Part",
-        factory=PartitionedBackend.build,
-        loader=PartitionedBackend.load,
-        description="immutable CiNCT partitions over a shared alphabet (growing fleets)",
-        aliases=("partitioned",),
-        supports_extract=False,
-        supports_growth=True,
-    )
-)
-
-_BASELINE_DESCRIPTIONS = {
-    "UFMI": "wavelet matrix over the BWT with plain bitmaps",
-    "ICB-WM": "wavelet matrix over the BWT with RRR bitmaps",
-    "ICB-Huff": "Huffman wavelet tree over the BWT with RRR bitmaps",
-    "FM-GMR": "per-symbol position lists (largest but fast)",
-    "FM-AP-HYB": "alphabet-partitioned nested wavelet matrices",
-}
-for _variant in available_baselines():
-    register_backend(
-        BackendSpec(
-            name=_variant.lower(),
-            display_name=_variant,
-            factory=partial(FMBaselineBackend.build, variant=_variant),
-            loader=partial(FMBaselineBackend.load, variant=_variant),
-            description=_BASELINE_DESCRIPTIONS.get(_variant, ""),
-        )
-    )
-
-register_backend(
-    BackendSpec(
-        name="linear-scan",
-        display_name="LinearScan",
-        factory=LinearScanBackend.build,
-        loader=LinearScanBackend.load,
-        description="Boyer–Moore–Horspool over the raw 32-bit string (no index)",
-        aliases=("linearscan", "scan"),
-        supports_extract=False,
-    )
-)

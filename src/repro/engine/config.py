@@ -2,11 +2,11 @@
 
 :class:`EngineConfig` is the single knob surface of the
 :class:`~repro.engine.engine.TrajectoryEngine` facade: it names the backend
-(a key of the :mod:`~repro.engine.registry`) and carries every tuning
+(a key of the :mod:`~repro.engine.registry` table) and carries every tuning
 parameter a backend may consume.  Backends ignore knobs that do not apply to
-them (``sa_sample_rate`` means nothing to a linear scan, ``max_partitions``
-only matters to the partitioned backend), so one config type serves the whole
-registry and round-trips through the persistence layer unchanged.
+them (``max_partitions`` and the tail thresholds only matter to the
+partitioned backend), so one config type serves both backends and
+round-trips through the persistence layer unchanged.
 """
 
 from __future__ import annotations
@@ -31,14 +31,14 @@ class EngineConfig:
     Parameters
     ----------
     backend:
-        Registry key of the index backend (see
+        Key of the index backend (see
         :func:`~repro.engine.registry.available_backends`).  Matching is
-        case-insensitive and accepts the display aliases (``"CiNCT"``,
-        ``"UFMI"``, ...).
+        case-insensitive and accepts the display names and aliases
+        (``"CiNCT"``, ``"partitioned"``, ...).
     block_size:
         RRR block size ``b`` for the compressed backends.
     sa_sample_rate:
-        Suffix-array sampling rate for the CiNCT-family backends.  When set,
+        Suffix-array sampling rate of the CiNCT index.  When set,
         locate walks the LF-mapping to sampled rows (the compressed scheme);
         ``None`` disables sampling (matching the paper's size accounting) and
         locate/strict-path fall back to the retained suffix array instead.
@@ -62,12 +62,8 @@ class EngineConfig:
         old view until the compacted partition atomically swaps in; only the
         compacted shard's epoch bumps), ``"off"`` never (the tail grows
         unboundedly).  Ignored by non-partitioned backends.
-    temporal_index:
-        When true (default) and every trajectory carries timestamps, the
-        engine builds a :class:`~repro.queries.temporal.TemporalIndex`
-        companion used to pre-filter strict-path queries.
     labeling_strategy:
-        RML labelling strategy forwarded to CiNCT-family backends
+        RML labelling strategy forwarded to the CiNCT indexes
         (``"bigram"``, ``"unigram"`` or ``"random"``).
     cache_size:
         Capacity (in distinct canonical query plans) of the engine's LRU
@@ -81,8 +77,7 @@ class EngineConfig:
         result sets; ``None`` (default) leaves the byte dimension unbounded.
     interval_cache_size:
         Capacity (in distinct encoded pattern prefixes) of the engine's LRU
-        suffix-range interval cache.  Backends with a suffix structure
-        (CiNCT family, FM baselines, partitioned) resume backward search
+        suffix-range interval cache.  Both backends resume backward search
         from the deepest cached ancestor instead of re-deriving the whole
         range, so incremental one-edge pattern extensions cost a single
         LF-step and coalesced batches warm each other.  Invalidation mirrors
@@ -133,7 +128,6 @@ class EngineConfig:
     tail_max_symbols: int | None = None
     tail_max_trajectories: int | None = None
     compaction: str = "inline"
-    temporal_index: bool = True
     labeling_strategy: str = "bigram"
     cache_size: int = 1024
     cache_max_bytes: int | None = None

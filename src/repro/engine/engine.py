@@ -1,8 +1,8 @@
 """The :class:`TrajectoryEngine` facade and its per-shard core.
 
 One import — ``from repro.engine import TrajectoryEngine, EngineConfig`` — is
-enough to build, persist, reload and query *any* registered index backend
-with raw edge sequences::
+enough to build, persist, reload and query either index backend with raw
+edge sequences::
 
     engine = TrajectoryEngine.build(
         [["e1", "e2", "e3"], ["e2", "e3", "e4"]],
@@ -64,7 +64,6 @@ from ..exceptions import (
     ShardExecutionError,
 )
 from ..queries.strict_path import StrictPathMatch
-from ..queries.temporal import TemporalIndex
 from ..strings.alphabet import SEP_SYMBOL, Alphabet
 from ..temporal.store import TimestampStore
 from ..trajectories.model import Trajectory, TrajectoryDataset
@@ -244,15 +243,16 @@ class ScalarQueryAPI:
     ) -> list[StrictPathMatch]:
         """Strict path query: traversals of ``path`` within ``[t_start, t_end]``.
 
-        Mirrors :meth:`repro.StrictPathIndex.query` on every locate-capable
-        backend.  Both interval bounds must be given together.  Temporal
-        filtering is per match: a traversal qualifies when its own trajectory
-        carries timestamps and the traversal lies inside the window, so a
-        partially timestamped fleet still answers windowed queries —
-        occurrences on timestamp-less trajectories are simply dropped (they
-        cannot prove they happened inside the window).  Only when *no*
-        trajectory in the fleet carries timestamps is a windowed query
-        rejected with a :class:`~repro.exceptions.QueryError`.
+        Mirrors :meth:`repro.StrictPathIndex.query` on both backends.  Both
+        interval bounds must be given together, and ``t_end`` must not
+        precede ``t_start``.  Temporal filtering is per match: a traversal
+        qualifies when its own trajectory carries timestamps and the
+        traversal lies inside the window, so a partially timestamped fleet
+        still answers windowed queries — occurrences on timestamp-less
+        trajectories are simply dropped (they cannot prove they happened
+        inside the window).  An inverted window, or any window on a fleet
+        where *no* trajectory carries timestamps, is rejected at plan time
+        with a :class:`~repro.exceptions.QueryError`.
         """
         result = self.run(StrictPathQuery(path, t_start, t_end))
         assert isinstance(result, StrictPathResult)
@@ -281,10 +281,6 @@ class EngineShard(ScalarQueryAPI):
         self._config = config
         self._spec = backend_spec(config.backend)
         self._store = timestamps
-        # The temporal companion is built lazily (and only once per growth
-        # step), so streaming ingestion stays linear in the fleet size.
-        self._temporal: TemporalIndex | None = None
-        self._temporal_fresh = False
         # Query pipeline: normalize (planner) -> optimize/execute (executor)
         # with an epoch-invalidated LRU result cache in front of the backend.
         self._epoch = int(epoch)
@@ -295,7 +291,7 @@ class EngineShard(ScalarQueryAPI):
         # Second cache tier: suffix-range intervals keyed on encoded pattern
         # prefixes, so backward search resumes from the deepest cached
         # ancestor instead of re-deriving whole ranges.  Same epoch model as
-        # the result cache; ignored by backends without a suffix structure.
+        # the result cache.
         self._interval_cache = IntervalCache(
             config.interval_cache_size, epoch=self._epoch
         )
@@ -376,17 +372,6 @@ class EngineShard(ScalarQueryAPI):
         return self._interval_cache.stats()
 
     @property
-    def temporal(self) -> TemporalIndex | None:
-        """The temporal companion index (``None`` when disabled/unavailable)."""
-        if not self._temporal_fresh:
-            if self._config.temporal_index and self._store.fully_timestamped:
-                self._temporal = self._build_temporal()
-            else:
-                self._temporal = None
-            self._temporal_fresh = True
-        return self._temporal
-
-    @property
     def timestamp_store(self) -> TimestampStore:
         """The compressed per-trajectory timestamp store."""
         return self._store
@@ -400,7 +385,6 @@ class EngineShard(ScalarQueryAPI):
         """Index already-validated trajectories (growth-capable backends only)."""
         self._backend.add_batch(edges)
         self._store.extend(timestamps)
-        self._temporal_fresh = False
         self._bump_epoch()
 
     def consolidate(self) -> None:
@@ -471,8 +455,8 @@ class EngineShard(ScalarQueryAPI):
     ) -> tuple[StrictPathMatch, ...]:
         """Locate an encoded pattern and annotate matches with timestamps.
 
-        ``interval_kwargs`` is the executor's pinned interval cache, when the
-        backend shares intervals.  Timestamps come from the store's sampled
+        ``interval_kwargs`` is the executor's pinned interval cache, when it
+        is enabled.  Timestamps come from the store's sampled
         point lookups (:meth:`~repro.temporal.TimestampStore.timestamp`), so
         resolving a match never decodes a whole trajectory.
         """
@@ -507,13 +491,8 @@ class EngineShard(ScalarQueryAPI):
         """Apply strict-path window semantics to located matches."""
         if t_start is None or t_end is None:
             return matches
-        active: set[int] | None = None
-        if self.temporal is not None:
-            active = set(self.temporal.active_during(t_start, t_end))
         filtered: list[StrictPathMatch] = []
         for match in matches:
-            if active is not None and match.trajectory_id not in active:
-                continue
             if match.start_time is None or match.end_time is None:
                 continue
             if match.start_time < t_start or match.end_time > t_end:
@@ -531,16 +510,6 @@ class EngineShard(ScalarQueryAPI):
             else:
                 decoded.append("$" if symbol == SEP_SYMBOL else "#")
         return decoded
-
-    def _build_temporal(self) -> TemporalIndex:
-        decoded = [
-            np.asarray(self._store.get(i), dtype=np.float64)
-            for i in range(len(self._store))
-        ]
-        starts = np.asarray([times[0] for times in decoded], dtype=np.float64)
-        ends = np.asarray([times[-1] for times in decoded], dtype=np.float64)
-        deltas = [np.diff(times) for times in decoded]
-        return TemporalIndex(starts=starts, deltas=deltas, ends=ends)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -606,7 +575,7 @@ def _summed_counters(
 
 
 class TrajectoryEngine(ScalarQueryAPI):
-    """Unified query facade over every registered index backend.
+    """Unified query facade over the ``cinct`` and ``partitioned-cinct`` backends.
 
     The engine routes trajectories to ``num_shards`` :class:`EngineShard`
     cores and answers every query bit-identically to one index over the
@@ -808,10 +777,10 @@ class TrajectoryEngine(ScalarQueryAPI):
         return backends + self.temporal_size_in_bits()
 
     def held_bits(self) -> tuple[int, int]:
-        """``(private, mapped)`` bits of the arrays the shards' backends,
-        timestamp stores and temporal indexes hold (:func:`held_bytes`)."""
+        """``(private, mapped)`` bits of the arrays the shards' backends and
+        timestamp stores hold (:func:`held_bytes`)."""
         private, mapped = held_bytes(
-            *[(s.backend, s.timestamp_store, s._temporal) for s in self._present_shards()]
+            *[(s.backend, s.timestamp_store) for s in self._present_shards()]
         )
         return private * 8, mapped * 8
 

@@ -10,8 +10,8 @@ the pipeline:
   length, and one locate walk per distinct pattern — never a per-query loop;
 * :class:`PlanExecutor` — the capability surface a backend must provide to
   execute plans.  The existing :class:`~repro.engine.backends.EngineBackend`
-  adapters satisfy it structurally, so every registered backend (and any
-  third-party one) is already a plan executor;
+  adapters satisfy it structurally, so both backends are already plan
+  executors;
 * :class:`EpochLRU` — the one cache primitive: a locked, bounded LRU
   invalidated by the owning shard's monotonically increasing **growth
   epoch** (bumped by ``add_batch`` / ``consolidate`` and persisted by the
@@ -23,14 +23,13 @@ the pipeline:
   mapping encoded pattern-prefix tuples to backward-search suffix ranges
   (``(sp, ep)``, or ``None`` for a prefix that never occurs).  Where the
   result cache short-circuits *whole plans*, the interval cache accelerates
-  the *search inside* a miss: backends that support interval sharing
-  (``supports_interval_sharing``) resume backward search from the deepest
-  cached ancestor of each pattern, so incremental one-edge extensions cost a
-  single LF step and coalesced batches from different clients warm each
-  other;
+  the *search inside* a miss: the backends resume backward search from the
+  deepest cached ancestor of each pattern, so incremental one-edge
+  extensions cost a single LF step and coalesced batches from different
+  clients warm each other;
 * :class:`QueryExecutor` — the **execute** stage: serve plans from the cache
   where possible, route the misses through the grouped vectorized paths
-  (threading the interval cache into backends that share intervals), and
+  (threading the interval cache into the backend), and
   fill the cache with what they produce.  Contains plans probe their
   :meth:`~repro.engine.plan.QueryPlan.count_twin` (same batch, then cache)
   before falling back to the backend's early-exit ``contains`` path.
@@ -501,21 +500,16 @@ class QueryExecutor:
         self._resolver = resolver
         self._cache = cache
         self._interval_cache = interval_cache
-        self._share_intervals = bool(
-            getattr(backend, "supports_interval_sharing", False)
-        )
 
     def _interval_kwargs(self) -> dict[str, PinnedIntervalCache]:
         """Backend kwargs carrying the interval cache, when it applies.
 
         The cache goes in pinned to its current epoch (see
-        :class:`PinnedIntervalCache`).  Empty for backends without suffix
-        ranges (``supports_interval_sharing`` unset) and when the cache is
-        disabled, so those backends keep their exact pre-cache call
-        signature.
+        :class:`PinnedIntervalCache`).  Empty when the cache is absent or
+        disabled, so the backend runs its plain search path.
         """
         cache = self._interval_cache
-        if cache is not None and self._share_intervals and cache.enabled:
+        if cache is not None and cache.enabled:
             return {"interval_cache": cache.pinned(cache.epoch)}
         return {}
 
@@ -584,8 +578,8 @@ class QueryExecutor:
             return
         if len(unresolved) == 1:
             # The scalar path keeps the backend's early-exit contains
-            # specializations (partitioned any-partition short-circuit,
-            # linear-scan first-match stop), not a full count.
+            # specializations (the partitioned any-partition
+            # short-circuit), not a full count.
             plan = unresolved[0]
             found = self._backend.contains(list(plan.pattern), **run.intervals)
             self._record(run, plan, bool(found))

@@ -7,14 +7,14 @@ module), **optimize** and **execute** (:mod:`repro.engine.executor`):
   canonical, hashable :class:`QueryPlan`: the pattern encoded against the
   backend's alphabet, the capability the backend must provide, and any
   strict-path window bounds.  *Every* ``QueryError`` / ``AlphabetError`` the
-  query can raise (empty index, empty path, unknown segment, half-open or
-  timestamp-less windows, missing capability) is raised here, before anything
-  executes;
+  query can raise (empty index, empty path, unknown segment, half-open,
+  inverted or timestamp-less windows, missing capability) is raised here,
+  before anything executes;
 * optimize groups a batch of plans by (query type x capability) and dedupes
   identical plans so each distinct piece of work runs once;
 * execute routes each group through the backend's vectorized ``*_many`` paths,
-  fronted by an epoch-invalidated LRU result cache.  Suffix-searching
-  backends get two further sharing layers underneath the result cache: the
+  fronted by an epoch-invalidated LRU result cache.  Two further sharing
+  layers sit underneath the result cache: the
   batch's encoded patterns are folded into one prefix trie so overlapping
   patterns share every common backward-search step
   (:mod:`repro.fmindex.trie`), and an epoch-invalidated
@@ -58,9 +58,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .backends import EngineBackend
     from .registry import BackendSpec
 
-#: Capability kinds a plan can require from a backend.  ``count`` and
-#: ``contains`` are answered by every backend; ``locate`` and ``extract`` map
-#: to the ``supports_locate`` / ``supports_extract`` flags on the backend spec.
+#: Capability kinds a plan can require from a backend.  ``count``,
+#: ``contains`` and ``locate`` are answered by both backends; ``extract`` maps
+#: to the ``supports_extract`` flag on the backend spec.
 KIND_COUNT = "count"
 KIND_CONTAINS = "contains"
 KIND_LOCATE = "locate"
@@ -162,7 +162,6 @@ class QueryPlanner:
             # still answers from a cached count via QueryPlan.count_twin.
             return PlannedQuery(query, QueryPlan(KIND_CONTAINS, pattern=self.encode(query.path)))
         if isinstance(query, LocateQuery):
-            self._require_locate()
             return PlannedQuery(query, QueryPlan(KIND_LOCATE, pattern=self.encode(query.path)))
         if isinstance(query, StrictPathQuery):
             return PlannedQuery(query, self._plan_strict_path(query))
@@ -210,23 +209,18 @@ class QueryPlanner:
             raise QueryError(
                 f"time window bounds must not be NaN, got [{query.t_start}, {query.t_end}]"
             )
+        if query.t_start is not None and query.t_end < query.t_start:  # type: ignore[operator]
+            raise QueryError("t_end must not precede t_start")
         if query.t_start is not None and not self._store.any_timestamped:
             raise QueryError(
                 "the dataset has no timestamps; temporal filtering is unavailable"
             )
-        self._require_locate()
         return QueryPlan(
             KIND_LOCATE,
             pattern=self.encode(query.path),
             t_start=query.t_start,
             t_end=query.t_end,
         )
-
-    def _require_locate(self) -> None:
-        if not self._spec.supports_locate:
-            raise QueryError(
-                f"locate is not supported by the {self._spec.name!r} backend"
-            )
 
     def _require_extract(self) -> None:
         if not self._spec.supports_extract:

@@ -62,8 +62,8 @@ class ExtractQuery:
     """Recover ``length`` symbols of the text ending at suffix-array row ``row``.
 
     This is the paper's Algorithm-4 sub-path extraction, addressed by BWT row
-    exactly like :meth:`repro.CiNCT.extract`; backends without a suffix
-    structure (linear scan, partitioned) reject it.
+    exactly like :meth:`repro.CiNCT.extract`; the partitioned backend, which
+    has no single suffix structure, rejects it.
     """
 
     row: int

@@ -1,9 +1,11 @@
-"""String-keyed backend registry for the engine facade.
+"""String-keyed backend table for the engine facade.
 
-Every index implementation in the repository registers itself here as a
-:class:`BackendSpec`.  The spec names the backend, declares its capabilities
-(so the facade can reject unsupported queries with a uniform error), and
-provides two callables the engine and the persistence layer dispatch through:
+The engine serves two backends, each described by a :class:`BackendSpec`:
+``cinct`` (the paper's index, monolithic) and ``partitioned-cinct`` (CiNCT
+partitions grown as an LSM).  A spec names the backend, declares what it can
+do (so the facade can reject unsupported queries with a uniform error), and
+provides the two callables the engine and the persistence layer dispatch
+through:
 
 * ``factory(trajectories, config)`` builds a fresh
   :class:`~repro.engine.backends.EngineBackend` from raw edge trajectories;
@@ -11,9 +13,8 @@ provides two callables the engine and the persistence layer dispatch through:
   state a previous :meth:`~repro.engine.backends.EngineBackend.save_state`
   call wrote to disk.
 
-Third-party backends can join the registry with :func:`register_backend`; the
-CLI, the comparison harness and the contract test suite all enumerate
-:func:`available_backends` instead of hard-coding variant lists.
+The CLI and the contract test suites enumerate :func:`available_backends`
+instead of hard-coding the list.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 from ..exceptions import ConstructionError
+from .backends import CiNCTBackend, PartitionedBackend
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from .backends import EngineBackend
     from .config import EngineConfig
 
@@ -34,24 +36,21 @@ BackendLoader = Callable[..., "EngineBackend"]
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """Registry entry describing one index backend.
+    """Table entry describing one index backend.
 
     Attributes
     ----------
     name:
-        Canonical registry key (lower-case, e.g. ``"icb-huff"``).
+        Canonical key (lower-case, e.g. ``"partitioned-cinct"``).
     display_name:
-        Human-readable name used in tables and CLI output (``"ICB-Huff"``).
+        Human-readable name used in CLI output (``"CiNCT-Part"``).
     factory, loader:
         Build / reload callables dispatched by the engine and persistence
         layers (see the module docstring).
-    description:
-        One-line summary shown by ``repro-cinct compare`` documentation.
     aliases:
         Extra accepted spellings (matched case-insensitively).
-    supports_locate, supports_extract, supports_growth:
-        Capability flags: whether the backend can report occurrence positions
-        (and therefore answer strict-path queries), extract sub-paths by BWT
+    supports_extract, supports_growth:
+        Capability flags: whether the backend can extract sub-paths by BWT
         row, and grow via :meth:`~repro.engine.TrajectoryEngine.add_batch`.
     """
 
@@ -59,47 +58,45 @@ class BackendSpec:
     display_name: str
     factory: BackendFactory
     loader: BackendLoader
-    description: str = ""
     aliases: tuple[str, ...] = ()
-    supports_locate: bool = True
     supports_extract: bool = True
     supports_growth: bool = False
 
 
-_REGISTRY: dict[str, BackendSpec] = {}
-_ALIASES: dict[str, str] = {}
+_SPECS = (
+    BackendSpec(
+        name="cinct",
+        display_name="CiNCT",
+        factory=CiNCTBackend.build,
+        loader=CiNCTBackend.load,
+    ),
+    BackendSpec(
+        name="partitioned-cinct",
+        display_name="CiNCT-Part",
+        factory=PartitionedBackend.build,
+        loader=PartitionedBackend.load,
+        aliases=("partitioned",),
+        supports_extract=False,
+        supports_growth=True,
+    ),
+)
 
 
 def _normalise(name: str) -> str:
     return str(name).strip().lower()
 
 
-def register_backend(spec: BackendSpec, replace: bool = False) -> BackendSpec:
-    """Add a backend to the registry (``replace=True`` to override an entry)."""
-    key = _normalise(spec.name)
-    if not key:
-        raise ConstructionError("a backend spec needs a non-empty name")
-    if not replace and (key in _REGISTRY or key in _ALIASES):
-        raise ConstructionError(f"backend {spec.name!r} is already registered")
-    _REGISTRY[key] = spec
-    for alias in (spec.display_name, *spec.aliases):
-        alias_key = _normalise(alias)
-        if alias_key != key:
-            existing = _ALIASES.get(alias_key)
-            if not replace and existing is not None and existing != key:
-                raise ConstructionError(
-                    f"alias {alias!r} already points at backend {existing!r}"
-                )
-            _ALIASES[alias_key] = key
-    return spec
+_BY_NAME = {
+    _normalise(spelling): spec
+    for spec in _SPECS
+    for spelling in (spec.name, spec.display_name, *spec.aliases)
+}
 
 
 def backend_spec(name: str) -> BackendSpec:
     """Look up a backend by key, display name or alias (case-insensitive)."""
-    key = _normalise(name)
-    key = _ALIASES.get(key, key)
     try:
-        return _REGISTRY[key]
+        return _BY_NAME[_normalise(name)]
     except KeyError:
         raise ConstructionError(
             f"unknown index backend: {name!r} (available: {', '.join(available_backends())})"
@@ -107,24 +104,12 @@ def backend_spec(name: str) -> BackendSpec:
 
 
 def available_backends() -> list[str]:
-    """Canonical keys of every registered backend, sorted alphabetically.
-
-    The order is deterministic regardless of import/registration order, so
-    CLI output, parametrized test IDs and anything else that enumerates the
-    registry is stable across runs and processes.
-    """
-    return sorted(_REGISTRY)
-
-
-def backend_specs() -> list[BackendSpec]:
-    """Every registered spec, in :func:`available_backends` order."""
-    return [_REGISTRY[key] for key in available_backends()]
+    """Canonical keys of both backends, in a fixed (alphabetical) order."""
+    return [spec.name for spec in _SPECS]
 
 
 __all__ = [
     "BackendSpec",
-    "register_backend",
     "backend_spec",
     "available_backends",
-    "backend_specs",
 ]

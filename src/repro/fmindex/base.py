@@ -21,10 +21,8 @@ prefix share every search state up to their divergence point), and
 node**: at every depth the pending nodes are grouped by their edge symbol and
 all their frontier positions are answered with one :meth:`rank_bwt_many`
 call, which subclasses back with vectorized wavelet ranks.  The results are
-bit-identical to the scalar loop, overlapping patterns cost O(distinct trie
-nodes) instead of O(total symbols), and an optional epoch-invalidated
-interval cache (see :class:`repro.engine.executor.IntervalCache`) lets warm
-queries resume from their deepest cached ancestor.
+bit-identical to the scalar loop, and overlapping patterns cost O(distinct
+trie nodes) instead of O(total symbols).
 
 The baselines implement :meth:`rank_bwt` / :meth:`access_bwt` on top of a
 wavelet structure over the *original* BWT; CiNCT overrides the search and
@@ -135,9 +133,7 @@ class FMIndexBase(abc.ABC):
         """Index size divided by the trajectory-string length."""
         return self.size_in_bits() / self._n
 
-    def suffix_range(
-        self, pattern: Sequence[int], interval_cache=None
-    ) -> tuple[int, int] | None:
+    def suffix_range(self, pattern: Sequence[int]) -> tuple[int, int] | None:
         """Find the suffix range of ``pattern`` (Algorithm 1, ``SearchFM``).
 
         Parameters
@@ -148,12 +144,6 @@ class FMIndexBase(abc.ABC):
             consumes the pattern from its last symbol backwards over ``T``,
             which corresponds to scanning the path in travel order — exactly
             Algorithm 1 applied to the trajectory string.
-        interval_cache:
-            Optional suffix-range interval cache (``deepest``/``store`` over
-            prefix-tuple keys).  When given, the search resumes from the
-            deepest cached ancestor of the pattern — an incremental one-edge
-            extension of a previously seen pattern costs a single LF step —
-            and the final range is stored for future queries.
 
         Returns
         -------
@@ -164,42 +154,20 @@ class FMIndexBase(abc.ABC):
         # given in travel order corresponds to its reversal as a substring of
         # T.  Running Algorithm 1 on that reversal means consuming the
         # travel-order pattern from its first symbol to its last.
-        cache = interval_cache
-        if cache is not None and not getattr(cache, "enabled", True):
-            cache = None
-        n = len(symbols)
-        prefix_len = 0
-        sp = ep = 0
-        if cache is not None:
-            keys = [tuple(symbols[:k]) for k in range(n, 0, -1)]
-            hit, interval = cache.deepest(keys)
-            if hit >= 0:
-                if interval is None:
-                    return None
-                sp, ep = interval
-                prefix_len = n - hit
-        if prefix_len == 0:
-            w = symbols[0]
-            sp = int(self._c_array[w])
-            ep = int(self._c_array[w + 1])
-            prefix_len = 1
-            if sp >= ep:
-                if cache is not None:
-                    cache.store(tuple(symbols), None)
-                return None
-        for w in symbols[prefix_len:]:
+        w = symbols[0]
+        sp = int(self._c_array[w])
+        ep = int(self._c_array[w + 1])
+        if sp >= ep:
+            return None
+        for w in symbols[1:]:
             sp = int(self._c_array[w]) + self.rank_bwt(w, sp)
             ep = int(self._c_array[w]) + self.rank_bwt(w, ep)
             if sp >= ep:
-                if cache is not None:
-                    cache.store(tuple(symbols), None)
                 return None
-        if cache is not None and prefix_len < n:
-            cache.store(tuple(symbols), (sp, ep))
         return sp, ep
 
     def suffix_range_many(
-        self, patterns: Sequence[Sequence[int]], interval_cache=None
+        self, patterns: Sequence[Sequence[int]]
     ) -> list[tuple[int, int] | None]:
         """Batched :meth:`suffix_range` over a whole pattern workload.
 
@@ -213,11 +181,9 @@ class FMIndexBase(abc.ABC):
         pats = [self._validated_pattern(p) for p in patterns]
         if not pats:
             return []
-        return self.trie_search(PatternTrie(pats), interval_cache=interval_cache)
+        return self.trie_search(PatternTrie(pats))
 
-    def trie_search(
-        self, trie: PatternTrie, interval_cache=None
-    ) -> list[tuple[int, int] | None]:
+    def trie_search(self, trie: PatternTrie) -> list[tuple[int, int] | None]:
         """Backward search over a prebuilt pattern trie (one range per node).
 
         At every trie depth the pending nodes are grouped by their edge
@@ -228,7 +194,7 @@ class FMIndexBase(abc.ABC):
         trie built over a global alphabet can be fanned across partitions
         with smaller alphabets.  See
         :func:`~repro.fmindex.trie.trie_backward_search` for the dead-node
-        and interval-cache semantics.
+        semantics.
         """
         c = self._c_array
 
@@ -246,9 +212,7 @@ class FMIndexBase(abc.ABC):
                 ep[members] = base + ranks[members.size :]
             return sp, ep
 
-        return trie_backward_search(
-            trie, c, self._sigma, advance, interval_cache=interval_cache
-        )
+        return trie_backward_search(trie, c, self._sigma, advance)
 
     def count(self, pattern: Sequence[int]) -> int:
         """Number of occurrences of ``pattern`` in the trajectory string."""
@@ -258,18 +222,16 @@ class FMIndexBase(abc.ABC):
         sp, ep = found
         return ep - sp
 
-    def count_many(
-        self, patterns: Sequence[Sequence[int]], interval_cache=None
-    ) -> list[int]:
+    def count_many(self, patterns: Sequence[Sequence[int]]) -> list[int]:
         """Batched :meth:`count` over a whole pattern workload."""
         return [
             0 if found is None else found[1] - found[0]
-            for found in self.suffix_range_many(patterns, interval_cache=interval_cache)
+            for found in self.suffix_range_many(patterns)
         ]
 
-    def contains(self, pattern: Sequence[int], interval_cache=None) -> bool:
+    def contains(self, pattern: Sequence[int]) -> bool:
         """True when the pattern occurs at least once."""
-        return self.suffix_range(pattern, interval_cache=interval_cache) is not None
+        return self.suffix_range(pattern) is not None
 
     def extract(self, j: int, length: int) -> list[int]:
         """Extract ``T[i - length, i)`` where ``i = SA[j]`` (Section IV-C).

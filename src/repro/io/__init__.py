@@ -5,9 +5,8 @@
 * :mod:`repro.io.index_io` — persist index state so it can be reloaded without
   recomputing the suffix array (the only super-linear construction step):
   :func:`save_index`/:func:`load_index` round-trip a whole
-  :class:`~repro.engine.TrajectoryEngine` for any registered backend; a
-  CiNCT index is saved as the compressed index itself and loads without a
-  rebuild.
+  :class:`~repro.engine.TrajectoryEngine` of either backend; a CiNCT index
+  is saved as the compressed index itself and loads without a rebuild.
 """
 
 from .dataset_io import (
@@ -16,15 +15,13 @@ from .dataset_io import (
     save_dataset_csv,
     save_dataset_jsonl,
 )
-from .index_io import load_bwt_result, load_index, save_bwt_result, save_index
+from .index_io import load_index, save_index
 
 __all__ = [
     "save_dataset_jsonl",
     "load_dataset_jsonl",
     "save_dataset_csv",
     "load_dataset_csv",
-    "save_bwt_result",
-    "load_bwt_result",
     "save_index",
     "load_index",
 ]

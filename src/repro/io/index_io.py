@@ -1,16 +1,14 @@
-"""Persistence of whole engines, and of the FM baselines' BWT artefacts.
+"""Persistence of whole engines.
 
 :func:`save_index` / :func:`load_index` round-trip a
-:class:`~repro.engine.TrajectoryEngine` of any registered backend by
-dispatching through the backend registry: ``engine.json`` (format 6: the
-config, the alphabet and a SHA-256 manifest), a ``timestamps.npz`` written by
-the :class:`~repro.temporal.TimestampStore` and the backend's own archives.
+:class:`~repro.engine.TrajectoryEngine` of either backend by dispatching
+through the backend table: ``engine.json`` (format 7: the config, the
+alphabet and a SHA-256 manifest), a ``timestamps.npz`` written by the
+:class:`~repro.temporal.TimestampStore` and the backend's own archives.
 A CiNCT archive is the compressed index itself (the arrays its queries read,
 :meth:`repro.core.cinct.CiNCT.arrays`), so a load reads or maps it and builds
-nothing, the way sdsl persists succinct structures.  The FM baselines keep
-the BWT artefacts (text, BWT, suffix array, counts, ``C[]``) written by
-:func:`save_bwt_result` and rebuild from them.  An index written in an older
-format is rejected with one canonical error: rebuild it from its
+nothing, the way sdsl persists succinct structures.  An index written in an
+older format is rejected with one canonical error: rebuild it from its
 trajectories.
 """
 
@@ -24,8 +22,6 @@ import zipfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Hashable
 
-import numpy as np
-
 from ..exceptions import (
     ConstructionError,
     DatasetError,
@@ -35,21 +31,19 @@ from ..exceptions import (
 )
 from ..reliability import faults
 from ..strings.alphabet import Alphabet
-from ..strings.bwt import BWTResult
-from .npzutil import ensure_npz_suffix, load_npz_arrays
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..engine.config import EngineConfig
     from ..engine.engine import EngineShard, TrajectoryEngine
 
-#: Version of the ``bwt.npz`` archives of the FM baselines.
-_FORMAT_VERSION = 1
-#: Format 6: a CiNCT index (or partition) is saved as the arrays its queries
+#: Format 7: a CiNCT index (or partition) is saved as the arrays its queries
 #: read, and a load builds nothing.  Saves stage into a ``.tmp-<pid>``
 #: sibling directory promoted wholesale via rename, and ``engine.json``
 #: carries a ``"manifest"`` of per-artefact SHA-256 checksums and byte sizes
-#: that :func:`load_index` verifies.  Only this format loads.
-_ENGINE_FORMAT_VERSION = 6
+#: that :func:`load_index` verifies.  Only this format loads: format 6 could
+#: also hold the retired FM-baseline and linear-scan backends and the
+#: ``temporal_index`` config key.
+_ENGINE_FORMAT_VERSION = 7
 _TIMESTAMP_ARCHIVE = "timestamps.npz"
 _ENGINE_DOCUMENT = "engine.json"
 
@@ -66,64 +60,7 @@ _ARTEFACT_PARSE_ERRORS = (
 
 
 # --------------------------------------------------------------------------- #
-# BWT artefacts
-# --------------------------------------------------------------------------- #
-def save_bwt_result(bwt_result: BWTResult, path: str | Path) -> Path:
-    """Save the arrays of a :class:`BWTResult` as an ``.npz`` archive.
-
-    The archive is written **uncompressed** (``ZIP_STORED`` members), so
-    :func:`load_bwt_result` can memory-map the array payloads straight out
-    of the file (``mmap_mode="r"``) instead of decompressing and copying
-    them — the layout behind ``load_index(..., mmap=True)``.  Integer
-    trajectory symbols compress poorly anyway, and the save-time manifest
-    checksums the file bytes either way.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(
-        path,
-        format_version=np.asarray([_FORMAT_VERSION], dtype=np.int64),
-        text=bwt_result.text,
-        bwt=bwt_result.bwt,
-        suffix_array=bwt_result.suffix_array,
-        counts=bwt_result.counts,
-        c_array=bwt_result.c_array,
-    )
-    return ensure_npz_suffix(path)
-
-
-def load_bwt_result(path: str | Path, mmap_mode: str | None = None) -> BWTResult:
-    """Load a :class:`BWTResult` previously written by :func:`save_bwt_result`.
-
-    With ``mmap_mode="r"`` the arrays come back as read-only ``np.memmap``
-    windows into the archive (for uncompressed members; compressed
-    archives fall back to a full parse), so reloading costs header parsing
-    and the index pages are shared across processes mapping the same file.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"BWT archive not found: {path}")
-    try:
-        archive = load_npz_arrays(path, mmap_mode=mmap_mode)
-        version = int(archive["format_version"][0])
-        if version != _FORMAT_VERSION:
-            raise ConstructionError(
-                f"unsupported BWT archive version {version} (expected {_FORMAT_VERSION})"
-            )
-        fields = ("text", "bwt", "suffix_array", "counts", "c_array")
-        return BWTResult(**{name: archive[name] for name in fields})
-    except _ARTEFACT_PARSE_ERRORS as error:
-        # A torn/truncated archive surfaces as BadZipFile / KeyError /
-        # ValueError depending on where the bytes were cut; normalize all of
-        # them into the one canonical corruption error naming the artefact.
-        raise IndexCorruptionError(
-            f"index artefact {path.name!r} is corrupt or truncated "
-            f"({type(error).__name__}: {error}) at {path}"
-        ) from error
-
-
-# --------------------------------------------------------------------------- #
-# universal engine persistence (registry-dispatched, crash-safe)
+# engine persistence (dispatched through the backend table, crash-safe)
 # --------------------------------------------------------------------------- #
 def _edge_to_json(edge: Hashable) -> object:
     if isinstance(edge, tuple):
@@ -188,7 +125,7 @@ def _verify_manifest(directory: Path, manifest: dict) -> None:
 
 
 def save_index(engine: "TrajectoryEngine", directory: str | Path) -> Path:
-    """Persist a :class:`~repro.engine.TrajectoryEngine` of *any* backend.
+    """Persist a :class:`~repro.engine.TrajectoryEngine` of either backend.
 
     The engine-level state (config, backend name, alphabet) lands in
     ``engine.json``; per-trajectory timestamps go to a compressed
@@ -197,9 +134,7 @@ def save_index(engine: "TrajectoryEngine", directory: str | Path) -> Path:
     backend writes its own archives via
     :meth:`~repro.engine.backends.EngineBackend.save_state` and returns the
     metadata needed to reload them.  :func:`load_index` dispatches back
-    through the registry, so any backend registered with
-    :func:`repro.engine.register_backend` round-trips without touching this
-    module.
+    through the backend table.
 
     Saves are **crash-safe**: everything is written into a
     ``<name>.tmp-<pid>`` sibling directory first and promoted into place by
@@ -320,7 +255,7 @@ def _write_sharded(engine: "TrajectoryEngine", directory: Path) -> None:
 
 
 def load_index(directory: str | Path, *, mmap: bool = False) -> "TrajectoryEngine":
-    """Reload an engine persisted by :func:`save_index` (any backend).
+    """Reload an engine persisted by :func:`save_index` (either backend).
 
     A document with a ``"shards"`` list comes back as a multi-shard
     :class:`~repro.engine.TrajectoryEngine`, any other as a one-shard

@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
+from repro import cli
+from repro.bench import build_index, bwt_of_bundle
 from repro.cli import build_parser, main
+from repro.datasets.registry import load_dataset
 from repro.io import save_dataset_jsonl
 from repro.trajectories import Trajectory, TrajectoryDataset
 
@@ -90,7 +93,7 @@ class TestBuildAndQuery:
         assert "shards    : 2" in query_output
         assert "matches   : 2" in query_output
 
-    @pytest.mark.parametrize("backend", ["icb-huff", "linear-scan", "partitioned-cinct"])
+    @pytest.mark.parametrize("backend", ["partitioned-cinct"])
     def test_build_and_query_other_backends(self, jsonl_dataset, tmp_path, capsys, backend):
         output = tmp_path / f"index-{backend}"
         assert main(
@@ -227,7 +230,10 @@ class TestCompareCommand:
         assert "UFMI" in out
         assert "bits/symbol" in out
 
-    def test_compare_reports_sizes_from_registry(self, capsys):
+    def test_compare_sizes_are_the_fig10_indexes(self, capsys):
+        # Each row's counted size is that of the method built over the
+        # bundle's BWT exactly as the paper-shape benchmarks build it.
+        methods = ["CiNCT", "ICB-WM", "FM-GMR"]
         rc = main(
             [
                 "compare",
@@ -235,9 +241,8 @@ class TestCompareCommand:
                 "chess",
                 "--scale",
                 "0.05",
-                "--backends",
-                "cinct",
-                "linear-scan",
+                "--variants",
+                *methods,
                 "--n-patterns",
                 "5",
                 "--pattern-length",
@@ -245,23 +250,40 @@ class TestCompareCommand:
             ]
         )
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "size (bits)" in out
-        assert "bits/symbol" in out
-        assert "LinearScan" in out
-        # The raw 32-bit scan is a fixed 32 bits/symbol; CiNCT must be smaller.
-        assert "32.0" in out
+        lines = capsys.readouterr().out.splitlines()
+        header = [cell.strip() for cell in lines[1].split("|")]
+        assert header == ["method", "size (bits)", "bits/symbol", "search (us)", "build (s)"]
+        sizes = {
+            cells[0]: int(cells[1])
+            for cells in ([cell.strip() for cell in line.split("|")] for line in lines[3:])
+        }
+        bwt_result = bwt_of_bundle(load_dataset("chess", scale=0.05))
+        assert sizes == {
+            name: build_index(name, bwt_result).index.size_in_bits() for name in methods
+        }
 
-    def test_compare_rejects_unknown_backend(self, capsys):
+    def test_compare_rejects_unknown_method_before_building(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("nothing may be built for an unknown method")
+
+        monkeypatch.setattr(cli, "load_dataset", fail)
+        monkeypatch.setattr(cli, "build_all_indexes", fail)
         rc = main(
-            ["compare", "--dataset", "chess", "--scale", "0.05", "--backends", "btree"]
+            ["compare", "--dataset", "chess", "--scale", "0.05", "--variants", "CiNCT", "btree"]
         )
         assert rc == 2
-        assert "unknown index backend" in capsys.readouterr().err
+        assert "unknown index method: 'btree'" in capsys.readouterr().err
+
+    def test_compare_rejects_an_unsamplable_pattern_length(self, capsys):
+        rc = main(
+            ["compare", "--dataset", "chess", "--scale", "0.05", "--pattern-length", "500"]
+        )
+        assert rc == 2
+        assert "pattern length" in capsys.readouterr().err
 
     def test_compare_iterates_in_deterministic_order(self, capsys):
-        # Rows follow available_backends() order (and dedupe), no matter how
-        # the variants were spelled on the command line.
+        # Rows follow the Table-II order, each method once, no matter how
+        # the methods were spelled on the command line.
         rc = main(
             [
                 "compare",
@@ -269,7 +291,7 @@ class TestCompareCommand:
                 "chess",
                 "--scale",
                 "0.05",
-                "--backends",
+                "--variants",
                 "UFMI",
                 "cinct",
                 "ufmi",

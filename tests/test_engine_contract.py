@@ -1,13 +1,17 @@
-"""Engine contract suite: every registered backend answers identically.
+"""Engine contract suite: every backend variant answers what the raw data says.
 
 The engine facade promises that ``count`` / ``contains`` / ``locate`` /
-``extract`` / ``strict_path`` return the same answers on every backend (CiNCT
-is the reference), that the batch paths are bit-identical to the scalar ones,
-and that the typed ``run``/``run_many`` layer round-trips query objects.
+``extract`` / ``strict_path`` return the brute-force answers over the raw
+trajectories (:mod:`brute_force`) on every backend variant
+(:mod:`engine_variants`) and shard count, that the batch paths are
+bit-identical to the scalar ones, and that the typed ``run``/``run_many``
+layer round-trips query objects.
 """
 
 from __future__ import annotations
 
+import brute_force
+import engine_variants
 import numpy as np
 import pytest
 
@@ -21,24 +25,19 @@ from repro.engine import (
     ExtractResult,
     LocateQuery,
     StrictPathQuery,
-    TrajectoryEngine,
-    available_backends,
-    backend_spec,
     build_engine,
     sample_paths,
 )
 from repro.network import grid_network
 from repro.trajectories import TrajectoryDataset, straight_biased_walks
 
-BACKENDS = available_backends()
-LOCATE_BACKENDS = [name for name in BACKENDS if backend_spec(name).supports_locate]
-REFERENCE = "cinct"
+VARIANTS = engine_variants.NAMES
 SHARD_COUNTS = (1, 3)
 
 
 @pytest.fixture(scope="module")
 def fleet_dataset():
-    """A timestamped fleet on a grid network, shared by every backend."""
+    """A timestamped fleet on a grid network, shared by every variant."""
     network = grid_network(5, 5)
     rng = np.random.default_rng(7)
     trajectories = straight_biased_walks(
@@ -53,13 +52,10 @@ def fleet_dataset():
 
 @pytest.fixture(scope="module")
 def engines(fleet_dataset):
-    """One engine per registered backend over the shared fleet."""
+    """One engine per backend variant over the shared fleet."""
     return {
-        name: TrajectoryEngine.build(
-            fleet_dataset,
-            EngineConfig(backend=name, block_size=31, sa_sample_rate=8),
-        )
-        for name in BACKENDS
+        name: engine_variants.build(name, fleet_dataset, block_size=31, sa_sample_rate=8)
+        for name in VARIANTS
     }
 
 
@@ -73,76 +69,71 @@ def probe_paths(fleet_dataset):
     return paths
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant", VARIANTS)
 class TestSpatialContract:
-    def test_count_matches_reference(self, engines, probe_paths, backend):
-        reference = engines[REFERENCE]
-        engine = engines[backend]
+    def test_count_matches_brute_force(self, engines, fleet_dataset, probe_paths, variant):
+        engine = engines[variant]
         for path in probe_paths:
-            assert engine.count(path) == reference.count(path), path
+            assert engine.count(path) == brute_force.count(fleet_dataset, path), path
 
-    def test_contains_matches_reference(self, engines, probe_paths, backend):
-        reference = engines[REFERENCE]
-        engine = engines[backend]
+    def test_contains_matches_brute_force(self, engines, fleet_dataset, probe_paths, variant):
+        engine = engines[variant]
         for path in probe_paths:
-            assert engine.contains(path) == reference.contains(path), path
+            expected = brute_force.count(fleet_dataset, path) > 0
+            assert engine.contains(path) == expected, path
 
-    def test_count_many_equals_scalar(self, engines, probe_paths, backend):
-        engine = engines[backend]
+    def test_count_many_equals_scalar(self, engines, probe_paths, variant):
+        engine = engines[variant]
         assert engine.count_many(probe_paths) == [engine.count(p) for p in probe_paths]
 
-    def test_locate_matches_reference(self, engines, probe_paths, backend):
-        reference = engines[REFERENCE]
-        engine = engines[backend]
+    def test_locate_matches_brute_force(self, engines, fleet_dataset, probe_paths, variant):
+        engine = engines[variant]
         for path in probe_paths:
-            assert engine.locate(path) == reference.locate(path), path
+            expected = brute_force.locate(fleet_dataset, path)
+            assert brute_force.as_tuples(engine.locate(path)) == expected, path
 
-    def test_locate_count_consistency(self, engines, probe_paths, backend):
+    def test_locate_count_consistency(self, engines, probe_paths, variant):
         # Every occurrence that does not straddle a trajectory boundary is a
         # resolved match, so locate can never return more than count.
-        engine = engines[backend]
+        engine = engines[variant]
         for path in probe_paths:
             assert len(engine.locate(path)) <= engine.count(path)
 
-    def test_extract_matches_reference(self, engines, backend):
-        if not backend_spec(backend).supports_extract:
-            pytest.skip(f"{backend} has no suffix structure to extract from")
-        reference = engines[REFERENCE]
-        engine = engines[backend]
+    def test_extract_matches_brute_force(self, engines, fleet_dataset, variant):
+        if not engine_variants.spec(variant).supports_extract:
+            pytest.skip(f"{variant} has no suffix structure to extract from")
+        engine = engines[variant]
         rows = [0, 1, engine.length // 2, engine.length - 1]
         for row in rows:
-            assert engine.extract(row, 4) == reference.extract(row, 4)
+            assert engine.extract(row, 4) == brute_force.extract(fleet_dataset, row, 4)
 
-    def test_strict_path_matches_reference(self, engines, probe_paths, backend):
-        reference = engines[REFERENCE]
-        engine = engines[backend]
+    def test_strict_path_matches_brute_force(self, engines, fleet_dataset, probe_paths, variant):
+        engine = engines[variant]
         for path in probe_paths[:8]:
             full = engine.strict_path(path)
-            assert full == reference.strict_path(path)
+            assert brute_force.as_tuples(full) == brute_force.locate(fleet_dataset, path)
             if not full:
                 continue
             window = (full[0].start_time, full[0].end_time)
             narrowed = engine.strict_path(path, window[0], window[1])
-            assert narrowed == reference.strict_path(path, window[0], window[1])
-            assert all(
-                match.start_time >= window[0] and match.end_time <= window[1]
-                for match in narrowed
+            assert brute_force.as_tuples(narrowed) == brute_force.locate(
+                fleet_dataset, path, *window
             )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_run_many_matches_scalar_run(engines, probe_paths, backend):
-    engine = engines[backend]
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_many_matches_scalar_run(engines, probe_paths, variant):
+    engine = engines[variant]
     queries = [CountQuery(probe_paths[0]), ContainsQuery(probe_paths[1])]
     queries += [LocateQuery(probe_paths[2]), StrictPathQuery(probe_paths[3])]
-    if backend_spec(backend).supports_extract:
+    if engine_variants.spec(variant).supports_extract:
         queries += [ExtractQuery(row=0, length=3), ExtractQuery(row=1, length=3)]
     batched = engine.run_many(queries)
     assert batched == [engine.run(query) for query in queries]
 
 
 def test_run_returns_typed_results(engines):
-    engine = engines[REFERENCE]
+    engine = engines["cinct"]
     path = engine.shards[0].backend.trajectory_string.trajectory_edges(0)[:2]
     count = engine.run(CountQuery(path))
     assert isinstance(count, CountResult) and count.count >= 1
@@ -175,7 +166,7 @@ def test_extract_returns_stored_text_order():
 
 def test_locate_resolves_real_traversals(engines, fleet_dataset):
     # Each match must point at an actual sub-path of the named trajectory.
-    engine = engines[REFERENCE]
+    engine = engines["cinct"]
     path = list(fleet_dataset.trajectories[3].edges[1:4])
     matches = engine.locate(path)
     assert matches
@@ -186,41 +177,40 @@ def test_locate_resolves_real_traversals(engines, fleet_dataset):
 
 @pytest.fixture(scope="module")
 def sharded_engines(fleet_dataset):
-    """Sharded fleets per (locate-capable backend, shard count)."""
+    """Sharded fleets per (variant, shard count)."""
     return {
-        (name, num_shards): build_engine(
-            fleet_dataset,
-            EngineConfig(
-                backend=name, block_size=31, sa_sample_rate=8, num_shards=num_shards
-            ),
+        (name, num_shards): engine_variants.build(
+            name, fleet_dataset, block_size=31, sa_sample_rate=8, num_shards=num_shards
         )
-        for name in LOCATE_BACKENDS
+        for name in VARIANTS
         for num_shards in SHARD_COUNTS
     }
 
 
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-@pytest.mark.parametrize("backend", LOCATE_BACKENDS)
+@pytest.mark.parametrize("variant", VARIANTS)
 class TestShardedContract:
-    """A sharded fleet answers bit-identically to the unsharded engines."""
+    """A sharded fleet answers what the raw data says, bit-identically to one shard."""
 
-    def test_scalar_queries_match_unsharded(
-        self, engines, sharded_engines, probe_paths, backend, num_shards
+    def test_scalar_queries_match_brute_force(
+        self, fleet_dataset, sharded_engines, probe_paths, variant, num_shards
     ):
-        reference = engines[backend]
-        sharded = sharded_engines[(backend, num_shards)]
+        sharded = sharded_engines[(variant, num_shards)]
         for path in probe_paths:
-            assert sharded.count(path) == reference.count(path), path
-            assert sharded.contains(path) == reference.contains(path), path
-            assert sharded.locate(path) == reference.locate(path), path
+            expected = brute_force.locate(fleet_dataset, path)
+            assert sharded.count(path) == len(expected), path
+            assert sharded.contains(path) == bool(expected), path
+            assert brute_force.as_tuples(sharded.locate(path)) == expected, path
         for path in probe_paths[:6]:
-            assert sharded.strict_path(path) == reference.strict_path(path), path
+            assert brute_force.as_tuples(sharded.strict_path(path)) == brute_force.locate(
+                fleet_dataset, path
+            ), path
 
     def test_run_many_matches_unsharded(
-        self, engines, sharded_engines, probe_paths, backend, num_shards
+        self, engines, sharded_engines, probe_paths, variant, num_shards
     ):
-        reference = engines[backend]
-        sharded = sharded_engines[(backend, num_shards)]
+        reference = engines[variant]
+        sharded = sharded_engines[(variant, num_shards)]
         queries = [
             CountQuery(probe_paths[0]),
             ContainsQuery(probe_paths[1]),
@@ -232,8 +222,7 @@ class TestShardedContract:
         assert sharded.run_many(queries) == reference.run_many(queries)
 
 
-def test_temporal_index_built_for_timestamped_fleet(engines):
-    engine = engines[REFERENCE]
-    assert engine.shards[0].temporal is not None
-    assert engine.shards[0].temporal.n_trajectories == engine.n_trajectories
+def test_timestamp_store_counted_for_timestamped_fleet(engines):
+    engine = engines["cinct"]
+    assert engine.timestamp_store.n_timestamped == engine.n_trajectories
     assert engine.size_in_bits() > engine.shards[0].backend.size_in_bits()

@@ -1,17 +1,19 @@
-"""Universal persistence: save -> load -> query round-trips for every backend."""
+"""Persistence: save -> load -> query round-trips for every backend variant
+(:mod:`engine_variants`), checked against the brute-force answers over the
+raw trajectories."""
 
 from __future__ import annotations
 
 import json
 
+import brute_force
+import engine_variants
 import numpy as np
 import pytest
 
 from repro.engine import (
     EngineConfig,
     TrajectoryEngine,
-    available_backends,
-    backend_spec,
     build_engine,
     sample_paths,
 )
@@ -25,8 +27,7 @@ from repro.io import load_index, save_index
 from repro.network import grid_network
 from repro.trajectories import TrajectoryDataset, straight_biased_walks
 
-BACKENDS = available_backends()
-LOCATE_BACKENDS = [name for name in BACKENDS if backend_spec(name).supports_locate]
+VARIANTS = engine_variants.NAMES
 
 
 @pytest.fixture(scope="module")
@@ -48,11 +49,11 @@ def probe_paths(fleet_dataset):
     return sample_paths(fleet_dataset, 3, 8, seed=3)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant", VARIANTS)
 class TestRoundTrip:
-    def test_queries_survive_roundtrip(self, fleet_dataset, probe_paths, tmp_path, backend):
-        config = EngineConfig(backend=backend, block_size=31, sa_sample_rate=8)
-        engine = TrajectoryEngine.build(fleet_dataset, config)
+    def test_queries_survive_roundtrip(self, fleet_dataset, probe_paths, tmp_path, variant):
+        config = engine_variants.config(variant, block_size=31, sa_sample_rate=8)
+        engine = engine_variants.build(variant, fleet_dataset, block_size=31, sa_sample_rate=8)
         engine.save(tmp_path / "index")
         reloaded = TrajectoryEngine.load(tmp_path / "index")
         assert reloaded.backend_name == engine.backend_name
@@ -60,28 +61,28 @@ class TestRoundTrip:
         assert reloaded.n_trajectories == engine.n_trajectories
         assert reloaded.size_in_bits() == engine.size_in_bits()
         for path in probe_paths:
-            assert reloaded.count(path) == engine.count(path)
-            assert reloaded.locate(path) == engine.locate(path)
+            assert reloaded.count(path) == brute_force.count(fleet_dataset, path)
+            expected = brute_force.locate(fleet_dataset, path)
+            assert brute_force.as_tuples(reloaded.locate(path)) == expected
 
-    def test_strict_path_survives_roundtrip(self, fleet_dataset, probe_paths, tmp_path, backend):
-        config = EngineConfig(backend=backend, block_size=31, sa_sample_rate=8)
-        engine = TrajectoryEngine.build(fleet_dataset, config)
+    def test_strict_path_survives_roundtrip(self, fleet_dataset, probe_paths, tmp_path, variant):
+        engine = engine_variants.build(variant, fleet_dataset, block_size=31, sa_sample_rate=8)
         save_index(engine, tmp_path / "index")
         reloaded = load_index(tmp_path / "index")
-        assert reloaded.shards[0].temporal is not None
+        assert reloaded.timestamp_store.n_timestamped == reloaded.n_trajectories
         for path in probe_paths[:4]:
-            assert reloaded.strict_path(path, 0.0, 1e9) == engine.strict_path(path, 0.0, 1e9)
+            expected = brute_force.locate(fleet_dataset, path, 0.0, 1e9)
+            assert brute_force.as_tuples(reloaded.strict_path(path, 0.0, 1e9)) == expected
 
 
 @pytest.mark.parametrize("num_shards", (1, 3))
-@pytest.mark.parametrize("backend", LOCATE_BACKENDS)
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_sharded_queries_survive_roundtrip(
-    fleet_dataset, probe_paths, tmp_path, backend, num_shards
+    fleet_dataset, probe_paths, tmp_path, variant, num_shards
 ):
-    config = EngineConfig(
-        backend=backend, block_size=31, sa_sample_rate=8, num_shards=num_shards
-    )
-    engine = build_engine(fleet_dataset, config)
+    fields = dict(block_size=31, sa_sample_rate=8, num_shards=num_shards)
+    config = engine_variants.config(variant, **fields)
+    engine = engine_variants.build(variant, fleet_dataset, **fields)
     engine.save(tmp_path / "fleet")
     reloaded = load_index(tmp_path / "fleet")
     assert type(reloaded) is type(engine)
@@ -89,10 +90,12 @@ def test_sharded_queries_survive_roundtrip(
     assert reloaded.n_trajectories == engine.n_trajectories
     assert reloaded.size_in_bits() == engine.size_in_bits()
     for path in probe_paths:
-        assert reloaded.count(path) == engine.count(path)
-        assert reloaded.locate(path) == engine.locate(path)
+        assert reloaded.count(path) == brute_force.count(fleet_dataset, path)
+        expected = brute_force.locate(fleet_dataset, path)
+        assert brute_force.as_tuples(reloaded.locate(path)) == expected
     for path in probe_paths[:4]:
-        assert reloaded.strict_path(path, 0.0, 1e9) == engine.strict_path(path, 0.0, 1e9)
+        expected = brute_force.locate(fleet_dataset, path, 0.0, 1e9)
+        assert brute_force.as_tuples(reloaded.strict_path(path, 0.0, 1e9)) == expected
 
 
 def test_sharded_partitioned_growth_survives_roundtrip(fleet_dataset, tmp_path):
@@ -165,16 +168,18 @@ def test_missing_directory_rejected(tmp_path):
         load_index(tmp_path / "nothing-here")
 
 
-@pytest.mark.parametrize("layout", ["format-5", "save_cinct"])
+@pytest.mark.parametrize("layout", ["format-6", "format-5", "save_cinct"])
 def test_older_formats_rejected_with_canonical_error(fleet_dataset, tmp_path, layout):
-    # Only format 6 loads; an older document names its version and asks for
-    # a rebuild from the trajectories.
+    # Only format 7 loads; an older document names its version and asks for
+    # a rebuild from the trajectories.  Format 6 could hold a retired
+    # backend and the retired temporal_index config key.
     target = tmp_path / "index"
-    if layout == "format-5":
+    if layout in ("format-6", "format-5"):
         TrajectoryEngine.build(fleet_dataset, EngineConfig(backend="cinct")).save(target)
         document_path = target / "engine.json"
         document = json.loads(document_path.read_text(encoding="utf-8"))
-        document["format_version"] = version = 5
+        document["format_version"] = version = int(layout[-1])
+        document["config"]["temporal_index"] = True
         document_path.write_text(json.dumps(document), encoding="utf-8")
     else:  # the retired CiNCT-only layout: index.json beside bwt.npz
         target.mkdir()
@@ -183,12 +188,12 @@ def test_older_formats_rejected_with_canonical_error(fleet_dataset, tmp_path, la
         np.savez(target / "bwt.npz", format_version=np.asarray([version]))
     with pytest.raises(ConstructionError) as caught:
         load_index(target)
-    assert str(caught.value) == unsupported_format_message(version, 6)
+    assert str(caught.value) == unsupported_format_message(version, 7)
     assert "rebuild the index from its trajectories" in str(caught.value)
 
 
 def test_corrupted_version_rejected(fleet_dataset, tmp_path):
-    engine = TrajectoryEngine.build(fleet_dataset, EngineConfig(backend="ufmi"))
+    engine = TrajectoryEngine.build(fleet_dataset, EngineConfig(backend="cinct"))
     engine.save(tmp_path / "index")
     document_path = tmp_path / "index" / "engine.json"
     document = json.loads(document_path.read_text(encoding="utf-8"))
@@ -199,7 +204,7 @@ def test_corrupted_version_rejected(fleet_dataset, tmp_path):
 
 
 def test_unknown_config_field_rejected(fleet_dataset, tmp_path):
-    engine = TrajectoryEngine.build(fleet_dataset, EngineConfig(backend="ufmi"))
+    engine = TrajectoryEngine.build(fleet_dataset, EngineConfig(backend="cinct"))
     engine.save(tmp_path / "index")
     document_path = tmp_path / "index" / "engine.json"
     document = json.loads(document_path.read_text(encoding="utf-8"))

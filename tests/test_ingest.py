@@ -1,8 +1,9 @@
 """LSM-style ingest fast path: tail parity, compaction, crash safety.
 
 The contract under test: an engine ingesting through the mutable tail answers
-every query type bit-identically to a monolithic build over the same
-trajectories — before compaction (tail-only), after compaction (sealed
+every query type with the brute-force answers over the same raw
+trajectories (:mod:`brute_force`) — before compaction (tail-only), after
+compaction (sealed
 partitions), after a save/load round-trip, while a background compaction is
 racing concurrent queries, and after a crash injected at the compaction swap
 point (which must leave the pre-swap view serving and loadable).  Tail
@@ -18,6 +19,7 @@ import threading
 import urllib.error
 import urllib.request
 
+import brute_force
 import numpy as np
 import pytest
 
@@ -67,31 +69,19 @@ ALL_TRAJECTORIES = SEED_BATCH + [t for batch in STREAM_BATCHES for t in batch]
 PROBE_PATHS = [["e0", "e1"], ["e3", "e4", "e5"], ["e9", "e0"], ["e7"]]
 
 
-def _oracle():
-    """Monolithic single-partition build over every trajectory (no tail)."""
-    return build_engine(ALL_TRAJECTORIES, EngineConfig(backend="cinct", sa_sample_rate=4))
-
-
-def _match_keys(matches):
-    return sorted(
-        (m.trajectory_id, m.start_edge_index, m.end_edge_index, m.start_time, m.end_time)
-        for m in matches
-    )
-
-
-def assert_parity(engine, oracle):
-    """Every query type answers identically to the monolithic oracle."""
-    assert engine.n_trajectories == oracle.n_trajectories
+def assert_parity(engine, trajectories=ALL_TRAJECTORIES):
+    """Every query type gives the brute-force answer over ``trajectories``."""
+    assert engine.n_trajectories == len(trajectories)
     for path in PROBE_PATHS:
-        assert engine.count(path) == oracle.count(path), path
-        assert engine.contains(path) == oracle.contains(path), path
-        assert _match_keys(engine.locate(path)) == _match_keys(oracle.locate(path)), path
-        assert _match_keys(engine.strict_path(path, 0.0, 1e9)) == _match_keys(
-            oracle.strict_path(path, 0.0, 1e9)
-        ), path
+        expected = brute_force.locate(trajectories, path)
+        assert engine.count(path) == len(expected), path
+        assert engine.contains(path) == bool(expected), path
+        assert sorted(brute_force.as_tuples(engine.locate(path))) == expected, path
+        windowed = brute_force.as_tuples(engine.strict_path(path, 0.0, 1e9))
+        assert sorted(windowed) == brute_force.locate(trajectories, path, 0.0, 1e9), path
     if engine.spec.supports_extract:  # partitioned backends don't extract
-        for row in (0, len(ALL_TRAJECTORIES) // 2, len(ALL_TRAJECTORIES) - 1):
-            assert engine.extract(row, 3) == oracle.extract(row, 3), row
+        for row in (0, len(trajectories) // 2, len(trajectories) - 1):
+            assert engine.extract(row, 3) == brute_force.extract(trajectories, row, 3), row
 
 
 def _tail_config(num_shards=1, **overrides):
@@ -122,7 +112,7 @@ class TestLifecycleParity:
         ingest = engine.stats()["ingest"]
         assert ingest["tail"]["trajectories"] == len(ALL_TRAJECTORIES)
         assert ingest["compaction"]["count"] == 0
-        assert_parity(engine, _oracle())
+        assert_parity(engine)
 
     @pytest.mark.parametrize("num_shards", [1, 2])
     def test_post_compaction(self, num_shards):
@@ -132,7 +122,7 @@ class TestLifecycleParity:
         _ingest_stream(engine)
         ingest = engine.stats()["ingest"]
         assert ingest["compaction"]["count"] >= 1
-        assert_parity(engine, _oracle())
+        assert_parity(engine)
 
     @pytest.mark.parametrize("num_shards", [1, 2])
     @pytest.mark.parametrize("tail_max", [10_000, 4])
@@ -146,14 +136,14 @@ class TestLifecycleParity:
         reloaded = load_index(tmp_path / "index")
         after = reloaded.stats()["ingest"]
         assert after["tail"]["trajectories"] == before["tail"]["trajectories"]
-        assert_parity(reloaded, _oracle())
+        assert_parity(reloaded)
 
     def test_reloaded_tail_keeps_growing(self, tmp_path):
         engine = build_engine(SEED_BATCH, _tail_config())
         engine.save(tmp_path / "index")
         reloaded = load_index(tmp_path / "index")
         _ingest_stream(reloaded)
-        assert_parity(reloaded, _oracle())
+        assert_parity(reloaded)
 
 
 class TestNoSuffixSortOnAppend:
@@ -167,7 +157,7 @@ class TestNoSuffixSortOnAppend:
             partitioned_module, "burrows_wheeler_transform", _forbidden
         )
         _ingest_stream(engine)  # O(batch) appends only
-        assert engine.count(["e0", "e1"]) == _oracle().count(["e0", "e1"])
+        assert engine.count(["e0", "e1"]) == brute_force.count(ALL_TRAJECTORIES, ["e0", "e1"])
 
     def test_legacy_path_still_builds_bwt(self, monkeypatch):
         engine = build_engine(SEED_BATCH, EngineConfig(backend="partitioned-cinct"))
@@ -190,7 +180,7 @@ class TestBackgroundCompaction:
         _ingest_stream(engine)
         assert engine.wait_for_compaction(timeout=30.0)
         assert engine.stats()["ingest"]["compaction"]["count"] >= 1
-        assert_parity(engine, _oracle())
+        assert_parity(engine)
 
     def test_bumps_only_the_compacted_shards_epoch(self):
         config = _tail_config(
@@ -225,10 +215,7 @@ class TestBackgroundCompaction:
         prefixes = [SEED_BATCH]
         for batch in STREAM_BATCHES:
             prefixes.append(prefixes[-1] + batch)
-        valid = {
-            build_engine(prefix, EngineConfig(backend="cinct")).count(probe)
-            for prefix in prefixes
-        }
+        valid = {brute_force.count(prefix, probe) for prefix in prefixes}
         observed = []
         errors = []
         stop = threading.Event()
@@ -253,7 +240,7 @@ class TestBackgroundCompaction:
         assert not errors, errors
         assert observed, "query thread never ran"
         assert set(observed) <= valid, (set(observed), valid)
-        assert engine.count(probe) == _oracle().count(probe)
+        assert engine.count(probe) == brute_force.count(ALL_TRAJECTORIES, probe)
 
 
 class TestCacheFillAcrossIngest:
@@ -295,12 +282,12 @@ class TestCrashMidCompaction:
         assert ingest["compaction"]["count"] == 0
         assert ingest["compaction"]["failures"] >= 1
         assert ingest["tail"]["trajectories"] == len(ALL_TRAJECTORIES)
-        assert_parity(engine, _oracle())  # pre-swap view still serves
+        assert_parity(engine)  # pre-swap view still serves
         engine.save(tmp_path / "index")
         monkeypatch.delenv("REPRO_SAVE_CRASH")
         faults.clear_faults()
         reloaded = load_index(tmp_path / "index")
-        assert_parity(reloaded, _oracle())
+        assert_parity(reloaded)
         # With the fault gone the next batch seals the backlog successfully.
         reloaded.add_batch(_make_trajectories(2, seed=99))
         assert reloaded.stats()["ingest"]["compaction"]["count"] >= 1

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import CiNCT
@@ -13,7 +12,6 @@ from repro.io import (
     save_dataset_csv,
     save_dataset_jsonl,
 )
-from repro.io.index_io import load_bwt_result, save_bwt_result
 from repro.trajectories import Trajectory, TrajectoryDataset
 
 
@@ -94,17 +92,3 @@ class TestDatasetCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError):
             load_dataset_csv(tmp_path / "nope.csv")
-
-
-class TestBWTPersistence:
-    def test_roundtrip(self, medium_bwt, tmp_path):
-        path = save_bwt_result(medium_bwt, tmp_path / "bwt.npz")
-        loaded = load_bwt_result(path)
-        np.testing.assert_array_equal(loaded.text, medium_bwt.text)
-        np.testing.assert_array_equal(loaded.bwt, medium_bwt.bwt)
-        np.testing.assert_array_equal(loaded.suffix_array, medium_bwt.suffix_array)
-        np.testing.assert_array_equal(loaded.c_array, medium_bwt.c_array)
-
-    def test_missing_archive(self, tmp_path):
-        with pytest.raises(DatasetError):
-            load_bwt_result(tmp_path / "missing.npz")

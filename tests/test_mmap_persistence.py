@@ -5,7 +5,7 @@ bit-identically to a fully deserialized one, the large immutable arrays are
 genuine read-only ``np.memmap`` windows into the saved ``.npz`` archives
 (so N shard worker processes share one page-cache copy), and growth on a
 mapped engine **copies on grow** — the on-disk artefact bytes never change
-underneath other processes mapping the same files.  Checksums, the format-6
+underneath other processes mapping the same files.  Checksums, the format-7
 layout and compressed archives all keep working.
 """
 
@@ -30,9 +30,9 @@ from repro.network import grid_network
 from repro.temporal.store import TimestampStore
 from repro.trajectories import TrajectoryDataset, straight_biased_walks
 
-#: Backends covering each artefact family: the CiNCT archive, an FM
-#: baseline's BWT archive, per-partition archives, and the raw string.
-MMAP_BACKENDS = ("cinct", "ufmi", "partitioned-cinct", "linear-scan")
+#: Backends covering each artefact family: the CiNCT archive and the
+#: per-partition archives.
+MMAP_BACKENDS = ("cinct", "partitioned-cinct")
 
 
 @pytest.fixture(scope="module")
@@ -69,14 +69,10 @@ def _mixed_queries(walks, *, extract: bool):
 
 def _mapped_artefact(engine, backend: str):
     """The large immutable array the mmap load should have left on disk."""
-    if backend == "linear-scan":
-        return engine.shards[0].backend.trajectory_string.text
     if backend == "partitioned-cinct":
         partition = next(iter(engine.shards[0].backend.partitioned.partitions()))
         return partition.index.arrays()["sa_samples"]
-    if backend == "cinct":
-        return engine.shards[0].backend.index.arrays()["hwt_offsets"]
-    return engine.shards[0].backend.bwt_result.bwt
+    return engine.shards[0].backend.index.arrays()["hwt_offsets"]
 
 
 # --------------------------------------------------------------------------- #
@@ -90,7 +86,7 @@ def test_mmap_load_is_bit_identical(fleet_dataset, walks, backend, tmp_path):
     plain = load_index(tmp_path / "idx")
     mapped = load_index(tmp_path / "idx", mmap=True)
 
-    extract = backend in ("cinct", "ufmi")  # the locate+extract capable ones
+    extract = backend == "cinct"  # the extract-capable one
     queries = _mixed_queries(walks, extract=extract)
     assert mapped.run_many(queries) == plain.run_many(queries) == engine.run_many(queries)
     assert mapped.timestamp_store.as_lists() == plain.timestamp_store.as_lists()

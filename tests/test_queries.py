@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import brute_force
 import pytest
 
 from repro.exceptions import ConstructionError, QueryError
@@ -15,21 +16,8 @@ def strict_index(medium_dataset):
 
 
 def brute_force_matches(dataset, path, t_start=None, t_end=None):
-    """Reference implementation: scan every trajectory for the sub-path."""
-    found = []
-    m = len(path)
-    for trajectory in dataset.trajectories:
-        edges = trajectory.edges
-        for start in range(len(edges) - m + 1):
-            if edges[start : start + m] != list(path):
-                continue
-            if t_start is not None:
-                begin = trajectory.timestamps[start]
-                finish = trajectory.timestamps[start + m - 1]
-                if begin < t_start or finish > t_end:
-                    continue
-            found.append((trajectory.trajectory_id, start))
-    return sorted(found)
+    """``(trajectory_id, start_edge_index)`` of every brute-force match."""
+    return [match[:2] for match in brute_force.locate(dataset, path, t_start, t_end)]
 
 
 class TestTemporalIndex:

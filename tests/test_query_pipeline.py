@@ -1,7 +1,7 @@
 """The staged query pipeline: plan -> optimize -> execute, cache, epochs.
 
-Covers the contract the pipeline must honour on every registered backend:
-mixed-type ``run_many`` batches (with duplicates) are bit-identical to
+Covers the contract the pipeline must honour on every backend variant
+(:mod:`engine_variants`): mixed-type ``run_many`` batches (with duplicates) are bit-identical to
 sequential ``run`` calls, the result cache serves repeats without changing
 answers, growth bumps the engine epoch and invalidates the cache, and the
 epoch survives persistence (format version 3; version-2 documents load at
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 
+import engine_variants
 import numpy as np
 import pytest
 
@@ -95,18 +96,15 @@ def mixed_workload(engine, fleet_dataset, seed=5):
     return queries
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant", engine_variants.NAMES)
 class TestMixedBatches:
-    def test_run_many_bit_identical_to_sequential_run(self, fleet_dataset, backend):
-        engine = TrajectoryEngine.build(
-            fleet_dataset, EngineConfig(backend=backend, block_size=31, sa_sample_rate=8)
-        )
+    def test_run_many_bit_identical_to_sequential_run(self, fleet_dataset, variant):
+        engine = engine_variants.build(variant, fleet_dataset, block_size=31, sa_sample_rate=8)
         queries = mixed_workload(engine, fleet_dataset)
         # A cache-less twin provides the sequential reference, so neither
         # side can leak answers to the other through the cache.
-        reference = TrajectoryEngine.build(
-            fleet_dataset,
-            EngineConfig(backend=backend, block_size=31, sa_sample_rate=8, cache_size=0),
+        reference = engine_variants.build(
+            variant, fleet_dataset, block_size=31, sa_sample_rate=8, cache_size=0
         )
         expected = [reference.run(query) for query in queries]
         assert engine.run_many(queries) == expected
@@ -114,21 +112,22 @@ class TestMixedBatches:
         assert engine.run_many(queries) == expected
         assert engine.cache_stats()["hits"] > 0
 
-    def test_run_many_pre_and_post_growth(self, fleet_dataset, growth_batch, backend):
-        if not backend_spec(backend).supports_growth:
-            pytest.skip(f"{backend} cannot grow")
-        engine = TrajectoryEngine.build(
-            fleet_dataset, EngineConfig(backend=backend, block_size=31, sa_sample_rate=8)
-        )
+    def test_run_many_pre_and_post_growth(self, fleet_dataset, growth_batch, variant):
+        if not engine_variants.spec(variant).supports_growth:
+            pytest.skip(f"{variant} cannot grow")
+        engine = engine_variants.build(variant, fleet_dataset, block_size=31, sa_sample_rate=8)
         queries = mixed_workload(engine, fleet_dataset)
         pre = engine.run_many(queries)
         assert pre == [engine.run(query) for query in queries]
 
         engine.add_batch(growth_batch)
         # The growth epoch moved, so cached pre-growth answers must not leak.
-        fresh = TrajectoryEngine.build(
+        fresh = engine_variants.build(
+            variant,
             list(fleet_dataset.trajectories) + list(growth_batch),
-            EngineConfig(backend=backend, block_size=31, sa_sample_rate=8, cache_size=0),
+            block_size=31,
+            sa_sample_rate=8,
+            cache_size=0,
         )
         post = engine.run_many(queries)
         assert post == [fresh.run(query) for query in queries]
@@ -361,7 +360,7 @@ class TestEpochs:
         engine.consolidate()
         engine.save(tmp_path / "fleet")
         document = json.loads((tmp_path / "fleet" / "engine.json").read_text(encoding="utf-8"))
-        assert document["format_version"] == 6
+        assert document["format_version"] == 7
         assert document["epoch"] == 2
         reloaded = TrajectoryEngine.load(tmp_path / "fleet")
         assert reloaded.epoch == 2
@@ -393,7 +392,9 @@ class TestPlanLayer:
         assert windowed.canonical() == locate_plan
 
     def test_planning_raises_before_execution(self, fleet_dataset):
-        engine = TrajectoryEngine.build(fleet_dataset, EngineConfig(backend="linear-scan"))
+        engine = TrajectoryEngine.build(
+            fleet_dataset, EngineConfig(backend="partitioned-cinct")
+        )
         with pytest.raises(QueryError, match="extract is not supported"):
             engine.run_many([ExtractQuery(row=0, length=2)])
         with pytest.raises(QueryError, match="unsupported query type"):

@@ -5,7 +5,7 @@ The contract under test: ``save_index`` never leaves a directory in a state
 the previously promoted index bit-identically loadable (and no staging
 litter), a re-save replaces the directory wholesale (no stale shard
 artefacts), and any post-save corruption (truncation, bit rot, deletion)
-fails the format-6 manifest check with one
+fails the format-7 manifest check with one
 :class:`~repro.exceptions.IndexCorruptionError` naming the torn artefact.
 """
 
@@ -70,7 +70,7 @@ def _tree(directory):
 
 
 # --------------------------------------------------------------------------- #
-# format 6: manifest round trips
+# format 7: manifest round trips
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
 def test_document_carries_manifest(fleet_dataset, tmp_path, num_shards):
@@ -79,7 +79,7 @@ def test_document_carries_manifest(fleet_dataset, tmp_path, num_shards):
     document = json.loads(
         (tmp_path / "index" / "engine.json").read_text(encoding="utf-8")
     )
-    assert document["format_version"] == 6
+    assert document["format_version"] == 7
     manifest = document["manifest"]
     assert manifest, "the manifest must cover at least one artefact"
     for entry in manifest.values():
@@ -265,11 +265,11 @@ def test_corruption_error_is_canonical(fleet_dataset, tmp_path):
 
 def test_engine_save_goes_through_crash_safe_path(fleet_dataset, tmp_path):
     # The method surface (engine.save / TrajectoryEngine.load) rides the
-    # same staged format-6 writer as the free functions.
+    # same staged format-7 writer as the free functions.
     engine = TrajectoryEngine.build(fleet_dataset, EngineConfig(backend="cinct"))
     engine.save(tmp_path / "index")
     document = json.loads(
         (tmp_path / "index" / "engine.json").read_text(encoding="utf-8")
     )
-    assert document["format_version"] == 6
+    assert document["format_version"] == 7
     assert "manifest" in document

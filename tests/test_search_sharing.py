@@ -4,9 +4,10 @@ Property coverage for the PR-10 sharing layers:
 
 * :class:`~repro.fmindex.trie.PatternTrie` structure invariants (BFS order,
   shared prefixes, duplicate and prefix-of patterns costing no extra nodes);
-* bit-identity of the trie-shared batch path against scalar reference
-  answers on **every registered backend**, unsharded and sharded, with the
-  interval cache cold and warm;
+* the trie-shared batch path giving the brute-force counts over the raw
+  trajectories (:mod:`brute_force`) on **every backend variant**
+  (:mod:`engine_variants`), unsharded and sharded, with the interval cache
+  cold and warm;
 * the same identity through the tail lifecycle of the growable backend:
   tail-only (fresh ``add_batch``), post-compaction (``consolidate``) and
   post-reload (``save``/``load``);
@@ -22,6 +23,8 @@ Property coverage for the PR-10 sharing layers:
 
 from __future__ import annotations
 
+import brute_force
+import engine_variants
 import numpy as np
 import pytest
 
@@ -29,7 +32,6 @@ from repro.engine import (
     EngineConfig,
     ShardedTrajectoryEngine,
     TrajectoryEngine,
-    available_backends,
     sample_paths,
 )
 from repro.engine.executor import IntervalCache
@@ -40,12 +42,10 @@ from repro.trajectories import TrajectoryDataset, straight_biased_walks
 from repro.wavelet import plain_bitvector_factory, rrr_bitvector_factory
 from repro.wavelet.tree import BalancedWaveletTree, HuffmanWaveletTree
 
-BACKENDS = available_backends()
-
 
 @pytest.fixture(scope="module")
 def fleet_dataset():
-    """A fleet on a grid network, shared by every backend parametrization."""
+    """A fleet on a grid network, shared by every variant parametrization."""
     network = grid_network(5, 5)
     rng = np.random.default_rng(31)
     trajectories = straight_biased_walks(
@@ -80,19 +80,9 @@ def sharing_workload(dataset, seed=5):
     return [batch[i] for i in rng.permutation(len(batch))]
 
 
-def reference_counts(dataset, batch, backend):
-    """Scalar per-pattern answers from a cache-less unsharded engine."""
-    engine = TrajectoryEngine.build(
-        dataset,
-        EngineConfig(
-            backend=backend,
-            block_size=31,
-            sa_sample_rate=8,
-            cache_size=0,
-            interval_cache_size=0,
-        ),
-    )
-    return [engine.count(path) for path in batch]
+def reference_counts(dataset, batch):
+    """Per-pattern brute-force counts over the raw trajectories."""
+    return [brute_force.count(dataset, path) for path in batch]
 
 
 class TestPatternTrie:
@@ -139,14 +129,12 @@ class TestPatternTrie:
         assert trie_backward_search(trie, np.zeros(2, dtype=np.int64), 1, None) == []
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant", engine_variants.NAMES)
 class TestBitIdentityUnsharded:
-    def test_trie_batch_matches_scalar_cold_and_warm(self, fleet_dataset, backend):
-        engine = TrajectoryEngine.build(
-            fleet_dataset, EngineConfig(backend=backend, block_size=31, sa_sample_rate=8)
-        )
+    def test_trie_batch_matches_scalar_cold_and_warm(self, fleet_dataset, variant):
+        engine = engine_variants.build(variant, fleet_dataset, block_size=31, sa_sample_rate=8)
         batch = sharing_workload(fleet_dataset)
-        expected = reference_counts(fleet_dataset, batch, backend)
+        expected = reference_counts(fleet_dataset, batch)
         assert engine.count_many(batch) == expected  # cold
         assert engine.count_many(batch) == expected  # warm (result + intervals)
         assert [engine.contains(path) for path in batch] == [
@@ -154,18 +142,15 @@ class TestBitIdentityUnsharded:
         ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant", engine_variants.NAMES)
 class TestBitIdentitySharded:
-    def test_trie_batch_matches_scalar_across_shards(self, fleet_dataset, backend):
-        sharded = ShardedTrajectoryEngine.build(
-            fleet_dataset,
-            EngineConfig(
-                backend=backend, block_size=31, sa_sample_rate=8, num_shards=3
-            ),
+    def test_trie_batch_matches_scalar_across_shards(self, fleet_dataset, variant):
+        sharded = engine_variants.build(
+            variant, fleet_dataset, block_size=31, sa_sample_rate=8, num_shards=3
         )
         try:
             batch = sharing_workload(fleet_dataset, seed=9)
-            expected = reference_counts(fleet_dataset, batch, backend)
+            expected = reference_counts(fleet_dataset, batch)
             assert sharded.count_many(batch) == expected
             assert sharded.count_many(batch) == expected  # warm pass
         finally:
@@ -173,24 +158,14 @@ class TestBitIdentitySharded:
 
 
 class TestTailLifecycle:
-    """Bit-identity through the growable backend's tail states."""
+    """Brute-force counts through the growable backend's tail states."""
 
     BACKEND = "partitioned-cinct"
 
-    def rebuilt(self, fleet_dataset, growth_batch):
-        combined = [list(t.edges) for t in fleet_dataset.trajectories]
-        combined += [list(t.edges) for t in growth_batch]
-        return TrajectoryEngine.build(
-            combined,
-            EngineConfig(
-                backend=self.BACKEND, cache_size=0, interval_cache_size=0
-            ),
-        )
-
-    def assert_parity(self, engine, reference, fleet_dataset, growth_batch):
+    def assert_parity(self, engine, fleet_dataset, growth_batch):
         batch = sharing_workload(fleet_dataset, seed=13)
         batch += [list(t.edges[:3]) for t in growth_batch]
-        expected = [reference.count(path) for path in batch]
+        expected = reference_counts(fleet_dataset.trajectories + growth_batch, batch)
         assert engine.count_many(batch) == expected
         assert engine.count_many(batch) == expected  # warm intervals
 
@@ -200,17 +175,16 @@ class TestTailLifecycle:
         engine = TrajectoryEngine.build(
             fleet_dataset, EngineConfig(backend=self.BACKEND)
         )
-        reference = self.rebuilt(fleet_dataset, growth_batch)
 
         engine.add_batch([list(t.edges) for t in growth_batch])
-        self.assert_parity(engine, reference, fleet_dataset, growth_batch)  # tail-only
+        self.assert_parity(engine, fleet_dataset, growth_batch)  # tail-only
 
         engine.consolidate()
-        self.assert_parity(engine, reference, fleet_dataset, growth_batch)  # compacted
+        self.assert_parity(engine, fleet_dataset, growth_batch)  # compacted
 
         engine.save(tmp_path / "grown")
         reloaded = load_index(tmp_path / "grown")
-        self.assert_parity(reloaded, reference, fleet_dataset, growth_batch)  # reloaded
+        self.assert_parity(reloaded, fleet_dataset, growth_batch)  # reloaded
 
 
 class TestIntervalCacheUnit:
@@ -417,21 +391,3 @@ class TestRankPairs:
                 tree.rank_pairs(np.full(200, symbol), positions),
                 tree.rank_many(symbol, positions),
             )
-
-
-def test_non_sharing_backends_never_touch_the_interval_cache(fleet_dataset):
-    """A backend without ``supports_interval_sharing`` leaves the cache cold.
-
-    The executor must gate the ``interval_cache`` kwarg on the backend's
-    declared capability — probing (or worse, populating) the cache through a
-    backend that cannot resume suffix ranges would record nonsense stats.
-    """
-    engine = TrajectoryEngine.build(
-        fleet_dataset, EngineConfig(backend="linear-scan", cache_size=0)
-    )
-    if getattr(engine.shards[0].backend, "supports_interval_sharing", False):
-        pytest.skip("linear-scan grew interval sharing; pick another control")
-    engine.count_many(sharing_workload(fleet_dataset))
-    stats = engine.interval_cache_stats()
-    assert stats["enabled"]  # the cache exists and is on ...
-    assert stats["hits"] == stats["misses"] == stats["size"] == 0  # ... but idle

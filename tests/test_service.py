@@ -505,6 +505,28 @@ class TestHTTPSurface:
         assert payload["reason"] == "bad_request"
         assert payload["retriable"] is False
 
+    def test_inverted_window_is_400_on_a_fleet(self, sharded, dataset):
+        # The fleet planner rejects t_end < t_start before the fan-out, so
+        # the client gets the canonical bad-request answer, not a shard
+        # failure (500).
+        body = {
+            "type": "strict_path",
+            "path": list(dataset[0].edges[:2]),
+            "t_start": 20.0,
+            "t_end": 5.0,
+        }
+        with serve_in_background(
+            sharded, ServiceConfig(port=0, batch_window_ms=2.0)
+        ) as handle:
+            request = urllib.request.Request(
+                handle.url + "/query", data=json.dumps(body).encode()
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=10.0)
+            payload = json.load(excinfo.value)
+        assert excinfo.value.code == 400
+        assert payload["reason"] == "bad_request"
+
     def test_unknown_route_is_404_and_get_query_is_405(self, handle):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(handle.url + "/nope", timeout=10.0)

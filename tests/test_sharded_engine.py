@@ -1,16 +1,19 @@
 """Sharded fleet layer: routing, bit-identical fan-out/merge, shard caches.
 
 The contract under test: a :class:`ShardedTrajectoryEngine` over any
-locate-capable backend answers every query — scalar and ``run_many``, pre and
-post growth, pre and post reload — bit-identically to an unsharded
-:class:`TrajectoryEngine` built over the same fleet in the same order, while
-growth on one shard leaves the other shards' cached plans untouched.
+backend variant (:mod:`engine_variants`) answers every query — scalar and ``run_many``, pre and post growth,
+pre and post reload — bit-identically to an unsharded
+:class:`TrajectoryEngine` built over the same fleet in the same order, and
+both give the brute-force answers over the raw trajectories, while growth on
+one shard leaves the other shards' cached plans untouched.
 """
 
 from __future__ import annotations
 
 import json
 
+import brute_force
+import engine_variants
 import numpy as np
 import pytest
 
@@ -24,9 +27,6 @@ from repro.engine import (
     ShardedTrajectoryEngine,
     StrictPathQuery,
     TrajectoryEngine,
-    available_backends,
-    backend_spec,
-    build_engine,
     sample_paths,
 )
 from repro.exceptions import ConstructionError, QueryError
@@ -34,15 +34,12 @@ from repro.io import load_index
 from repro.network import grid_network
 from repro.trajectories import TrajectoryDataset, straight_biased_walks
 
-LOCATE_BACKENDS = [
-    name for name in available_backends() if backend_spec(name).supports_locate
-]
-SHARD_COUNTS = (1, 3)
+VARIANTS = engine_variants.NAMES
 
 
 @pytest.fixture(scope="module")
 def fleet_dataset():
-    """A timestamped fleet on a grid network, shared by every backend."""
+    """A timestamped fleet on a grid network, shared by every variant."""
     network = grid_network(5, 5)
     rng = np.random.default_rng(41)
     trajectories = straight_biased_walks(
@@ -79,12 +76,18 @@ def _config(backend, num_shards, **kwargs):
     )
 
 
-def assert_query_parity(sharded, unsharded, fleet_dataset, seed=5):
-    """Scalar and batched answers must be bit-identical between the engines."""
+def assert_query_parity(sharded, unsharded, fleet_dataset, seed=5, trajectories=None):
+    """Scalar and batched answers must be bit-identical between the engines,
+    and equal to the brute-force answers over ``trajectories`` (the fleet's
+    own by default)."""
+    trajectories = fleet_dataset.trajectories if trajectories is None else trajectories
     paths = sample_paths(fleet_dataset, 2, 4, seed=seed)
     paths += sample_paths(fleet_dataset, 4, 4, seed=seed + 1)
     paths += [list(reversed(path)) for path in paths[:3]]  # mostly non-occurring
     for path in paths:
+        expected = brute_force.locate(trajectories, path)
+        assert brute_force.as_tuples(unsharded.locate(path)) == expected, path
+        assert unsharded.count(path) == len(expected), path
         assert sharded.count(path) == unsharded.count(path), path
         assert sharded.contains(path) == unsharded.contains(path), path
         assert sharded.locate(path) == unsharded.locate(path), path
@@ -111,23 +114,34 @@ def assert_query_parity(sharded, unsharded, fleet_dataset, seed=5):
     assert sharded.run_many(queries) == unsharded.run_many(queries)
 
 
-@pytest.mark.parametrize("shard_executor", ["threads", "processes"])
-@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-@pytest.mark.parametrize("backend", LOCATE_BACKENDS)
+def _variant(variant, fleet_dataset, num_shards, **kwargs):
+    return engine_variants.build(
+        variant,
+        fleet_dataset,
+        block_size=31,
+        sa_sample_rate=8,
+        num_shards=num_shards,
+        **kwargs,
+    )
+
+
+#: ``(num_shards, shard_executor)``: an unsharded engine never fans out, so
+#: only sharded fleets vary the executor.
+FANOUTS = [(1, "threads"), (3, "threads"), (3, "processes")]
+
+
+@pytest.mark.parametrize(("num_shards", "shard_executor"), FANOUTS)
+@pytest.mark.parametrize("variant", VARIANTS)
 class TestShardParity:
     @staticmethod
-    def _sharded(fleet_dataset, backend, num_shards, shard_executor):
-        if num_shards == 1 and shard_executor != "threads":
-            pytest.skip("unsharded engines have no fan-out executor")
-        return build_engine(
-            fleet_dataset, _config(backend, num_shards, shard_executor=shard_executor)
-        )
+    def _sharded(fleet_dataset, variant, num_shards, shard_executor):
+        return _variant(variant, fleet_dataset, num_shards, shard_executor=shard_executor)
 
     def test_scalar_and_batched_queries(
-        self, fleet_dataset, backend, num_shards, shard_executor
+        self, fleet_dataset, variant, num_shards, shard_executor
     ):
-        sharded = self._sharded(fleet_dataset, backend, num_shards, shard_executor)
-        unsharded = TrajectoryEngine.build(fleet_dataset, _config(backend, 1))
+        sharded = self._sharded(fleet_dataset, variant, num_shards, shard_executor)
+        unsharded = _variant(variant, fleet_dataset, 1)
         if num_shards == 1:
             assert isinstance(sharded, TrajectoryEngine)
         else:
@@ -140,10 +154,10 @@ class TestShardParity:
             sharded.close()
 
     def test_parity_survives_reload(
-        self, fleet_dataset, backend, num_shards, shard_executor, tmp_path
+        self, fleet_dataset, variant, num_shards, shard_executor, tmp_path
     ):
-        sharded = self._sharded(fleet_dataset, backend, num_shards, shard_executor)
-        unsharded = TrajectoryEngine.build(fleet_dataset, _config(backend, 1))
+        sharded = self._sharded(fleet_dataset, variant, num_shards, shard_executor)
+        unsharded = _variant(variant, fleet_dataset, 1)
         sharded.save(tmp_path / "fleet")
         reloaded = load_index(tmp_path / "fleet")
         assert type(reloaded) is type(sharded)
@@ -154,38 +168,43 @@ class TestShardParity:
             reloaded.close()
 
     def test_parity_survives_growth_and_reload(
-        self, fleet_dataset, growth_batch, backend, num_shards, shard_executor, tmp_path
+        self, fleet_dataset, growth_batch, variant, num_shards, shard_executor, tmp_path
     ):
-        if not backend_spec(backend).supports_growth:
-            pytest.skip(f"{backend} cannot grow")
-        sharded = self._sharded(fleet_dataset, backend, num_shards, shard_executor)
-        unsharded = TrajectoryEngine.build(fleet_dataset, _config(backend, 1))
+        if not engine_variants.spec(variant).supports_growth:
+            pytest.skip(f"{variant} cannot grow")
+        sharded = self._sharded(fleet_dataset, variant, num_shards, shard_executor)
+        unsharded = _variant(variant, fleet_dataset, 1)
         sharded.add_batch(growth_batch)
         unsharded.add_batch(growth_batch)
+        grown = fleet_dataset.trajectories + growth_batch
         assert sharded.n_trajectories == unsharded.n_trajectories
-        assert_query_parity(sharded, unsharded, fleet_dataset, seed=9)
+        assert_query_parity(sharded, unsharded, fleet_dataset, seed=9, trajectories=grown)
         # Matches on grown trajectories resolve to the same global ids.
         probe = list(growth_batch[0].edges[:3])
         assert sharded.locate(probe) == unsharded.locate(probe)
+        assert brute_force.as_tuples(sharded.locate(probe)) == brute_force.locate(grown, probe)
         sharded.save(tmp_path / "grown")
         reloaded = load_index(tmp_path / "grown")
-        assert_query_parity(reloaded, unsharded, fleet_dataset, seed=11)
+        assert_query_parity(reloaded, unsharded, fleet_dataset, seed=11, trajectories=grown)
         reloaded.add_batch(growth_batch[:2])
         unsharded.add_batch(growth_batch[:2])
-        assert_query_parity(reloaded, unsharded, fleet_dataset, seed=13)
+        grown = grown + growth_batch[:2]
+        assert_query_parity(reloaded, unsharded, fleet_dataset, seed=13, trajectories=grown)
         if num_shards > 1:
             sharded.close()
             reloaded.close()
 
 
-@pytest.mark.parametrize("backend", ["cinct", "icb-huff"])
+@pytest.mark.parametrize("backend", ["cinct"])
 def test_extract_row_space_concatenates_shards(fleet_dataset, backend):
     sharded = ShardedTrajectoryEngine.build(fleet_dataset, _config(backend, 3))
     assert sharded.length == sum(shard.length for shard in sharded.shards)
     offset = 0
-    for shard in sharded.shards:
+    for shard_id, shard in enumerate(sharded.shards):
+        own = fleet_dataset.trajectories[shard_id::3]  # round-robin routing
         for local_row in (0, shard.length // 2, shard.length - 1):
             assert sharded.extract(offset + local_row, 3) == shard.extract(local_row, 3)
+            assert shard.extract(local_row, 3) == brute_force.extract(own, local_row, 3)
         offset += shard.length
     # run_many routes each extraction to exactly one shard.
     rows = [0, sharded.length // 2, sharded.length - 1]
@@ -291,7 +310,7 @@ class TestShardedPersistenceLayout:
         document = json.loads(
             (tmp_path / "fleet" / "engine.json").read_text(encoding="utf-8")
         )
-        assert document["format_version"] == 6
+        assert document["format_version"] == 7
         assert document["num_shards"] == 3
         assert document["shards"] == ["shard_00", "shard_01", "shard_02"]
         for name in document["shards"]:
@@ -439,4 +458,10 @@ class TestShardedConstruction:
             list(fleet_dataset.trajectories) + list(growth_batch),
             _config("partitioned-cinct", 1),
         )
-        assert_query_parity(engine, unsharded, fleet_dataset, seed=29)
+        assert_query_parity(
+            engine,
+            unsharded,
+            fleet_dataset,
+            seed=29,
+            trajectories=fleet_dataset.trajectories + growth_batch,
+        )

@@ -1,30 +1,33 @@
-"""Strict-path/locate matrix: every locate-capable backend, sampled and not.
+"""Strict-path/locate matrix: every backend variant, sampled and not.
 
 The headline regression this suite pins down: CiNCT-family backends built
 *without* ``sa_sample_rate`` used to raise ``QueryError: locate requires the
 index to be built with sa_sample_rate`` from ``locate``/``strict_path``
 instead of answering via the retained suffix array.  Every combination of
 
-* backend (all locate-capable registry entries),
+* backend variant (:mod:`engine_variants`, less ``cinct-unsampled``, which
+  the sampling axis already covers),
 * SA sampling (``sa_sample_rate=8`` vs unsampled),
 * growth stage (built in one shot vs grown via ``add_batch``), and
 * persistence (live engine vs a save/load round-trip)
 
-must return the same matches as a brute-force scan of the raw trajectories.
+must return the same matches as a brute-force scan of the raw trajectories
+(:mod:`brute_force`).
 """
 
 from __future__ import annotations
 
+import engine_variants
 import numpy as np
 import pytest
+from brute_force import as_tuples
+from brute_force import locate as brute_force_matches
 
-from repro.engine import EngineConfig, TrajectoryEngine, available_backends, backend_spec
+from repro.engine import EngineConfig, TrajectoryEngine
 from repro.network import grid_network
 from repro.trajectories import TrajectoryDataset, straight_biased_walks
 
-LOCATE_BACKENDS = [
-    name for name in available_backends() if backend_spec(name).supports_locate
-]
+VARIANTS = [name for name in engine_variants.NAMES if name != "cinct-unsampled"]
 SAMPLING = [8, None]
 
 
@@ -58,61 +61,33 @@ def probe_paths(fleet_dataset):
     return paths
 
 
-def brute_force_matches(dataset, path, t_start=None, t_end=None):
-    """Oracle: scan every trajectory for occurrences of ``path``."""
-    expected = []
-    m = len(path)
-    for tid, trajectory in enumerate(dataset.trajectories):
-        edges = list(trajectory.edges)
-        for start in range(len(edges) - m + 1):
-            if edges[start : start + m] != list(path):
-                continue
-            times = trajectory.timestamps
-            start_time = times[start] if times is not None else None
-            end_time = times[start + m - 1] if times is not None else None
-            if t_start is not None:
-                if start_time is None or start_time < t_start or end_time > t_end:
-                    continue
-            expected.append((tid, start, start + m - 1, start_time, end_time))
-    return expected
-
-
-def as_tuples(matches):
-    return [
-        (m.trajectory_id, m.start_edge_index, m.end_edge_index, m.start_time, m.end_time)
-        for m in matches
-    ]
-
-
-def build_engine(fleet_dataset, backend, sa_sample_rate, grown):
-    config = EngineConfig(backend=backend, block_size=31, sa_sample_rate=sa_sample_rate)
+def build_engine(fleet_dataset, variant, sa_sample_rate, grown):
+    fields = dict(block_size=31, sa_sample_rate=sa_sample_rate)
     if grown:
-        engine = TrajectoryEngine.build(fleet_dataset.trajectories[:7], config)
+        engine = engine_variants.build(variant, fleet_dataset.trajectories[:7], **fields)
         engine.add_batch(fleet_dataset.trajectories[7:])
         return engine
-    return TrajectoryEngine.build(fleet_dataset, config)
+    return engine_variants.build(variant, fleet_dataset, **fields)
 
 
-def engine_variants(fleet_dataset, backend, sa_sample_rate, tmp_path):
+def lifecycle(fleet_dataset, variant, sa_sample_rate, tmp_path):
     """Pre/post-growth × pre/post-reload engines for one configuration."""
-    stages = [False, True] if backend_spec(backend).supports_growth else [False]
+    stages = [False, True] if engine_variants.spec(variant).supports_growth else [False]
     for grown in stages:
-        engine = build_engine(fleet_dataset, backend, sa_sample_rate, grown)
+        engine = build_engine(fleet_dataset, variant, sa_sample_rate, grown)
         yield f"grown={grown} reloaded=False", engine
-        directory = tmp_path / f"{backend}-{sa_sample_rate}-{grown}"
+        directory = tmp_path / f"{variant}-{sa_sample_rate}-{grown}"
         engine.save(directory)
         yield f"grown={grown} reloaded=True", TrajectoryEngine.load(directory)
 
 
 @pytest.mark.parametrize("sa_sample_rate", SAMPLING, ids=["sampled", "unsampled"])
-@pytest.mark.parametrize("backend", LOCATE_BACKENDS)
+@pytest.mark.parametrize("variant", VARIANTS)
 class TestLocateMatrix:
     def test_locate_matches_brute_force(
-        self, fleet_dataset, probe_paths, tmp_path, backend, sa_sample_rate
+        self, fleet_dataset, probe_paths, tmp_path, variant, sa_sample_rate
     ):
-        for label, engine in engine_variants(
-            fleet_dataset, backend, sa_sample_rate, tmp_path
-        ):
+        for label, engine in lifecycle(fleet_dataset, variant, sa_sample_rate, tmp_path):
             for path in probe_paths:
                 if path == ["nowhere", "else"]:
                     continue  # unknown segments raise AlphabetError by contract
@@ -120,12 +95,10 @@ class TestLocateMatrix:
                 assert got == brute_force_matches(fleet_dataset, path), (label, path)
 
     def test_strict_path_window_matches_brute_force(
-        self, fleet_dataset, probe_paths, tmp_path, backend, sa_sample_rate
+        self, fleet_dataset, probe_paths, tmp_path, variant, sa_sample_rate
     ):
-        # One engine per (backend, sampling); windows derived from real matches.
-        for label, engine in engine_variants(
-            fleet_dataset, backend, sa_sample_rate, tmp_path
-        ):
+        # One engine per (variant, sampling); windows derived from real matches.
+        for label, engine in lifecycle(fleet_dataset, variant, sa_sample_rate, tmp_path):
             for path in probe_paths[:6]:
                 full = brute_force_matches(fleet_dataset, path)
                 assert as_tuples(engine.strict_path(path)) == full, (label, path)
@@ -138,10 +111,10 @@ class TestLocateMatrix:
                     path,
                 )
 
-    def test_unsampled_issue_repro(self, fleet_dataset, probe_paths, tmp_path, backend, sa_sample_rate):
+    def test_unsampled_issue_repro(self, fleet_dataset, probe_paths, tmp_path, variant, sa_sample_rate):
         # The literal ISSUE repro: a windowed strict-path query must return
         # matches (not QueryError) even without sa_sample_rate.
-        engine = build_engine(fleet_dataset, backend, sa_sample_rate, grown=False)
+        engine = build_engine(fleet_dataset, variant, sa_sample_rate, grown=False)
         path = list(fleet_dataset.trajectories[0].edges[:2])
         matches = engine.strict_path(path, t_start=0.0, t_end=1e9)
         assert matches == engine.strict_path(path)
