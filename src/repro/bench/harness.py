@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -130,17 +131,31 @@ def sample_query_workload(
     return sample_patterns(bwt_result, pattern_length, n_patterns, rng)
 
 
+#: Timed passes over a search workload; the median pass is reported.
+SEARCH_PASSES = 5
+
+
 def measure_search_time(index: IndexLike, patterns: Sequence[Sequence[int]]) -> QueryTiming:
-    """Average suffix-range-query latency over a pattern workload."""
+    """Average suffix-range-query latency over a pattern workload, warm.
+
+    One untimed pass first decodes the blocks the workload touches, so the
+    time is the steady state the paper plots, not first-touch decodes.  Then
+    :data:`SEARCH_PASSES` passes are timed and the median pass is reported,
+    so one stalled pass does not move the number.
+    """
     if not patterns:
         raise ValueError("the workload must contain at least one pattern")
-    started = time.perf_counter()
     for pattern in patterns:
         index.suffix_range(pattern)
-    elapsed = time.perf_counter() - started
+    passes = []
+    for _ in range(SEARCH_PASSES):
+        started = time.perf_counter()
+        for pattern in patterns:
+            index.suffix_range(pattern)
+        passes.append(time.perf_counter() - started)
     return QueryTiming(
         name=getattr(index, "name", type(index).__name__),
-        mean_seconds=elapsed / len(patterns),
+        mean_seconds=statistics.median(passes) / len(patterns),
         n_queries=len(patterns),
     )
 
@@ -179,8 +194,9 @@ def write_bench_baseline(
     The baseline files let a PR prove a speedup against the previous state of
     the code and let future PRs detect regressions: re-run the benchmark,
     reload the stored baseline with :func:`load_bench_baseline` and compare.
-    Environment metadata is recorded so cross-machine numbers are not
-    mistaken for regressions.
+    Environment metadata (versions, CPU count and the run's
+    ``REPRO_BENCH_SCALE``, default 1.0) is recorded so cross-machine or
+    smoke-scale numbers are not mistaken for regressions.
     """
     path = Path(directory) / f"BENCH_{name}.json"
     document = {
@@ -190,6 +206,8 @@ def write_bench_baseline(
             "python": platform.python_version(),
             "machine": platform.machine(),
             "numpy": np.__version__,
+            "cpu_count": os.cpu_count() or 1,
+            "scale": float(os.environ.get("REPRO_BENCH_SCALE", "1.0")),
         },
         "results": dict(payload),
     }

@@ -79,7 +79,7 @@ def scatter_segments(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scatter the segments of ``bits`` into one unit-padded 0/1 buffer.
 
-    Shared by the bulk bit-vector constructors: segment ``i`` is
+    Shared by the wavelet factories' block encoders: segment ``i`` is
     ``bits[boundaries[i] : boundaries[i + 1]]`` and lands at
     ``buffer[padded_starts[i] : padded_starts[i] + lengths[i]]``, with each
     segment padded with zeros to a multiple of ``unit`` (a machine word for
@@ -198,36 +198,6 @@ class BitVector:
         cum_rank = np.zeros(words.size + 1, dtype=np.int64)
         np.cumsum(popcount_array(words), out=cum_rank[1:])
         return cls._from_packed(n, words, cum_rank)
-
-    @classmethod
-    def build_many(cls, bits: np.ndarray, boundaries: np.ndarray) -> list["BitVector"]:
-        """Build one :class:`BitVector` per segment of ``bits`` in bulk.
-
-        ``boundaries`` holds ``k + 1`` segment starts (``bits[boundaries[i] :
-        boundaries[i + 1]]`` is segment ``i``).  All segments are packed,
-        popcounted and rank-indexed with a handful of whole-array numpy
-        operations, so the per-vector cost is object construction only — this
-        is what makes level-at-a-time wavelet construction cheap even for
-        trees with thousands of small nodes.
-        """
-        boundaries = np.asarray(boundaries, dtype=np.int64)
-        k = int(boundaries.size) - 1
-        if k <= 0:
-            return []
-        lengths, padded_starts, buffer = scatter_segments(bits, boundaries, _WORD_BITS)
-        packed = np.packbits(buffer, bitorder="little")
-        words_all = packed.view("<u8").astype(np.uint64, copy=False)
-        popcounts = _popcount_packed_words(packed)
-        cum_all = np.zeros(popcounts.size + 1, dtype=np.int64)
-        np.cumsum(popcounts, out=cum_all[1:])
-        word_starts = padded_starts // _WORD_BITS
-        out: list[BitVector] = []
-        for segment in range(k):
-            lo = int(word_starts[segment])
-            hi = int(word_starts[segment + 1])
-            cum = cum_all[lo : hi + 1] - cum_all[lo]
-            out.append(cls._from_packed(int(lengths[segment]), words_all[lo:hi], cum))
-        return out
 
     # ------------------------------------------------------------------ #
     # basic accessors

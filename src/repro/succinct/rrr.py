@@ -10,11 +10,14 @@ Rank samples are kept every ``sample_rate`` blocks.
 The in-memory Python representation keeps classes, offsets and samples in
 numpy arrays for speed; encoding is fully vectorized over all blocks at once
 (the combinatorial-number-system sum becomes one fancy-indexed matrix
-reduction), and decoded blocks are memoised so hot query regions pay the O(b)
-enumerative decode only once.  :meth:`RRRBitVector.size_in_bits` reports the
-size of the *succinct encoding* (class bits + offset bits + samples), which is
-what the paper plots; the Python object overhead is irrelevant to the
-reproduction and is not counted.
+reduction).  A query decodes the blocks it touches into a per-structure memo
+of 64-bit words (:func:`word_memo`, filled by :func:`memo_word` and
+:func:`memo_words`), so each block pays the O(b) enumerative decode once and
+no decoded block outlives the structure that holds it.  A wavelet tree keeps
+one memo for all its nodes; :class:`RRRBitVector` keeps its own.
+:meth:`RRRBitVector.size_in_bits` reports the size of the *succinct encoding*
+(class bits + offset bits + samples), which is what the paper plots; the
+memo and the Python object overhead are not counted.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..exceptions import ConstructionError, QueryError
-from .bitvector import scatter_segments
+from .bitvector import BIT_MASKS, LOW_MASKS, _select_in_word
 
 _MAX_BLOCK = 63
 
@@ -53,6 +56,14 @@ def _binomial_matrix(b: int) -> np.ndarray:
     for n in range(b + 1):
         dense[n, : n + 1] = table[n]
     return dense
+
+
+def check_parameters(block_size: int, sample_rate: int) -> None:
+    """Reject an RRR block size outside ``[1, 63]`` or a non-positive sample rate."""
+    if not 1 <= block_size <= _MAX_BLOCK:
+        raise ConstructionError(f"block_size must be in [1, {_MAX_BLOCK}], got {block_size}")
+    if sample_rate < 1:
+        raise ConstructionError(f"sample_rate must be positive, got {sample_rate}")
 
 
 def encode_block(bits: tuple[int, ...] | list[int], b: int) -> tuple[int, int]:
@@ -122,6 +133,20 @@ def decode_block(cls: int, offset: int, b: int) -> list[int]:
     return bits
 
 
+def _decode_word(remaining: int, offset: int, table: tuple[tuple[int, ...], ...], b: int) -> int:
+    """One block as a word (see :func:`decode_blocks`), in native ints."""
+    word = 0
+    position = 0
+    while remaining:
+        zero_branch = table[b - position - 1][remaining] if remaining < b - position else 0
+        if offset >= zero_branch:
+            word |= 1 << position
+            offset -= zero_branch
+            remaining -= 1
+        position += 1
+    return word
+
+
 def decode_blocks(classes: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarray:
     """:func:`decode_block` for many blocks, one ``uint64`` word per block.
 
@@ -133,35 +158,56 @@ def decode_blocks(classes: np.ndarray, offsets: np.ndarray, b: int) -> np.ndarra
     query touches for the first time.
     """
     table = _binomial_table(b)
-    words = []
-    for remaining, offset in zip(np.asarray(classes).tolist(), np.asarray(offsets).tolist()):
-        word = 0
-        position = 0
-        while remaining:
-            zero_branch = table[b - position - 1][remaining] if remaining < b - position else 0
-            if offset >= zero_branch:
-                word |= 1 << position
-                offset -= zero_branch
-                remaining -= 1
-            position += 1
-        words.append(word)
-    return np.asarray(words, dtype=np.uint64)
+    return np.asarray(
+        [
+            _decode_word(cls, offset, table, b)
+            for cls, offset in zip(np.asarray(classes).tolist(), np.asarray(offsets).tolist())
+        ],
+        dtype=np.uint64,
+    )
 
 
-@lru_cache(maxsize=1 << 16)
-def _decoded_block(cls: int, offset: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Memoised decode: ``(bits, prefix_popcounts)`` for one encoded block.
+#: Memo word of a block not decoded yet; no block of ``b <= 63`` bits has
+#: every one of the 64 bits set.
+UNDECODED = 0xFFFFFFFFFFFFFFFF
 
-    ``prefix_popcounts[i]`` is the number of ones in ``bits[:i]`` (length
-    ``b + 1``), so an in-block rank is a single tuple lookup.
+
+def word_memo(classes: np.ndarray) -> np.ndarray:
+    """An empty word memo for the blocks of ``classes``.
+
+    Every entry is :data:`UNDECODED` except the class-0 blocks, which are
+    all zeros and start out decoded.
     """
-    bits = decode_block(cls, offset, b)
-    prefix = [0] * (b + 1)
-    running = 0
-    for i, bit in enumerate(bits):
-        running += bit
-        prefix[i + 1] = running
-    return tuple(bits), tuple(prefix)
+    return np.where(np.asarray(classes) == 0, np.uint64(0), np.uint64(UNDECODED))
+
+
+def memo_word(
+    memo: np.ndarray, classes: np.ndarray, offsets: np.ndarray, block: int, b: int
+) -> int:
+    """Word ``block`` of ``memo`` as a native int, decoded and stored on first touch.
+
+    Concurrent callers need no lock: a racing writer stores the same
+    deterministic word, so a reader sees :data:`UNDECODED` (and decodes the
+    block itself) or the final word.
+    """
+    word = memo.item(block)
+    if word == UNDECODED:
+        word = _decode_word(classes.item(block), offsets.item(block), _binomial_table(b), b)
+        memo[block] = word
+    return word
+
+
+def memo_words(
+    memo: np.ndarray, classes: np.ndarray, offsets: np.ndarray, blocks: np.ndarray, b: int
+) -> np.ndarray:
+    """:func:`memo_word` for an array of ``blocks``: one gather, decoding the stale ones."""
+    words = memo[blocks]
+    stale = words == np.uint64(UNDECODED)
+    if stale.any():
+        fresh = np.unique(blocks[stale])
+        memo[fresh] = decode_blocks(classes[fresh], offsets[fresh], b)
+        words = memo[blocks]
+    return words
 
 
 def offset_bits(b: int, cls: int) -> int:
@@ -169,6 +215,23 @@ def offset_bits(b: int, cls: int) -> int:
     table = _binomial_table(b)
     count = table[b][cls]
     return max(int(count - 1).bit_length(), 0)
+
+
+def rrr_size_in_bits(
+    classes: np.ndarray, blocks_per_vector: np.ndarray, b: int, sample_rate: int
+) -> int:
+    """Encoded bits of RRR vectors whose blocks are ``classes``, concatenated.
+
+    Vector ``v`` owns the next ``blocks_per_vector[v]`` classes and is
+    charged ``ceil(log2(b+1))`` bits per class, :func:`offset_bits` per
+    offset and one 64-bit rank sample per ``sample_rate`` blocks plus one.
+    """
+    class_bits = max(int(b).bit_length(), 1)
+    widths = np.asarray([offset_bits(b, cls) for cls in range(b + 1)], dtype=np.int64)
+    total_blocks = int(blocks_per_vector.sum())
+    offset_total = int(widths[np.asarray(classes[:total_blocks])].sum())
+    samples = int((blocks_per_vector // sample_rate + 1).sum())
+    return total_blocks * class_bits + offset_total + samples * 64
 
 
 class RRRBitVector:
@@ -185,117 +248,38 @@ class RRRBitVector:
     """
 
     def __init__(self, bits: Iterable[int], block_size: int = 63, sample_rate: int = 32):
-        if not 1 <= block_size <= _MAX_BLOCK:
-            raise ConstructionError(f"block_size must be in [1, {_MAX_BLOCK}], got {block_size}")
-        if sample_rate < 1:
-            raise ConstructionError(f"sample_rate must be positive, got {sample_rate}")
+        check_parameters(block_size, sample_rate)
         arr = np.asarray(list(bits) if not isinstance(bits, np.ndarray) else bits)
         arr = (arr != 0).astype(np.uint8)
         n = int(arr.size)
         n_blocks = (n + block_size - 1) // block_size
         padded = np.zeros(n_blocks * block_size, dtype=np.uint8)
         padded[:n] = arr
-        classes, offsets = encode_blocks(padded.reshape(n_blocks, block_size))
-        class_cum = np.zeros(n_blocks + 1, dtype=np.int64)
-        np.cumsum(classes.astype(np.int64), out=class_cum[1:])
-        self._set_parts(n, block_size, sample_rate, classes, offsets, class_cum)
-
-    @classmethod
-    def _from_parts(
-        cls,
-        n: int,
-        block_size: int,
-        sample_rate: int,
-        classes: np.ndarray,
-        offsets: np.ndarray,
-        class_cum: np.ndarray,
-    ) -> "RRRBitVector":
-        """Internal: wrap pre-encoded blocks and a pre-computed directory."""
-        self = object.__new__(cls)
-        self._set_parts(n, block_size, sample_rate, classes, offsets, class_cum)
-        return self
-
-    def _set_parts(
-        self,
-        n: int,
-        block_size: int,
-        sample_rate: int,
-        classes: np.ndarray,
-        offsets: np.ndarray,
-        class_cum: np.ndarray,
-    ) -> None:
         self._n = n
         self._b = block_size
         self._sample_rate = sample_rate
-        self._classes = classes
-        self._offsets = offsets
+        self._classes, self._offsets = encode_blocks(padded.reshape(n_blocks, block_size))
         # Dense per-block cumulative class counts: the in-memory rank
         # directory (one searchsorted away from any block).  The *accounted*
         # structure is the coarse rank samples: ones in blocks
         # [0, k * sample_rate), charged by :meth:`size_in_bits` and seeding
         # the select binary searches.
-        self._class_cum = class_cum
-        self._n_ones = int(class_cum[-1])
-        n_blocks = int(classes.size)
+        self._class_cum = np.zeros(n_blocks + 1, dtype=np.int64)
+        np.cumsum(self._classes.astype(np.int64), out=self._class_cum[1:])
+        self._n_ones = int(self._class_cum[-1])
         boundaries = np.minimum(
             np.arange(n_blocks // sample_rate + 1, dtype=np.int64) * sample_rate, n_blocks
         )
-        self._rank_samples = class_cum[boundaries]
-
-    @classmethod
-    def build_many(
-        cls,
-        bits: np.ndarray,
-        boundaries: np.ndarray,
-        block_size: int = 63,
-        sample_rate: int = 32,
-    ) -> list["RRRBitVector"]:
-        """Build one :class:`RRRBitVector` per segment of ``bits`` in bulk.
-
-        Every segment's blocks are gathered into a single ``(blocks, b)``
-        matrix and encoded with one vectorized :func:`encode_blocks` call, so
-        a wavelet level with thousands of small nodes pays the enumerative
-        encoding exactly once.
-        """
-        if not 1 <= block_size <= _MAX_BLOCK:
-            raise ConstructionError(f"block_size must be in [1, {_MAX_BLOCK}], got {block_size}")
-        if sample_rate < 1:
-            raise ConstructionError(f"sample_rate must be positive, got {sample_rate}")
-        boundaries = np.asarray(boundaries, dtype=np.int64)
-        k = int(boundaries.size) - 1
-        if k <= 0:
-            return []
-        lengths, padded_starts, buffer = scatter_segments(bits, boundaries, block_size)
-        classes_all, offsets_all = encode_blocks(buffer.reshape(-1, block_size))
-        cum_all = np.zeros(classes_all.size + 1, dtype=np.int64)
-        np.cumsum(classes_all.astype(np.int64), out=cum_all[1:])
-        block_starts = padded_starts // block_size
-        out: list[RRRBitVector] = []
-        for segment in range(k):
-            lo = int(block_starts[segment])
-            hi = int(block_starts[segment + 1])
-            out.append(
-                cls._from_parts(
-                    int(lengths[segment]),
-                    block_size,
-                    sample_rate,
-                    classes_all[lo:hi],
-                    offsets_all[lo:hi],
-                    cum_all[lo : hi + 1] - cum_all[lo],
-                )
-            )
-        return out
+        self._rank_samples = self._class_cum[boundaries]
 
     def __getattr__(self, name: str):
-        # Native-int mirrors of the encoded blocks and the rank directory,
-        # materialised on first scalar query so bulk construction never pays
+        # The word memo and the native-int rank directory, materialised on
+        # first query so a vector that is only built and sized never pays
         # for them.
-        if name == "_class_cum_py":
+        if name == "_words":
+            value = word_memo(self._classes)
+        elif name == "_class_cum_py":
             value = self._class_cum.tolist()
-        elif name == "_classes_py":
-            value = self._classes.tolist()
-        elif name == "_offsets_py":
-            value = self._offsets.tolist()
         elif name == "_zeros_cum":
             # Cumulative zero counts per block boundary (padding included for
             # the final partial block; harmless, see select0).
@@ -340,30 +324,20 @@ class RRRBitVector:
         """Total number of unset bits."""
         return self._n - self._n_ones
 
-    @property
-    def block_classes(self) -> np.ndarray:
-        """Per-block classes (popcounts), one ``uint8`` per block of ``b`` bits."""
-        return self._classes
+    def _word(self, block: int) -> int:
+        """Block ``block`` as a native-int word (bit ``i`` is position ``i``)."""
+        return memo_word(self._words, self._classes, self._offsets, block, self._b)
 
-    @property
-    def block_offsets(self) -> np.ndarray:
-        """Per-block enumerative offsets within their class (``uint64``)."""
-        return self._offsets
-
-    def _decode(self, block_index: int) -> list[int]:
-        return list(self._decoded(block_index)[0])
-
-    def _decoded(self, block_index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return _decoded_block(
-            self._classes_py[block_index], self._offsets_py[block_index], self._b
-        )
+    def _block_words(self, blocks: np.ndarray) -> np.ndarray:
+        """The ``uint64`` words of ``blocks``."""
+        return memo_words(self._words, self._classes, self._offsets, blocks, self._b)
 
     def access(self, i: int) -> int:
         """Return the bit at position ``i``."""
         if not 0 <= i < self._n:
             raise QueryError(f"bit index {i} out of range [0, {self._n})")
-        block_index, within = divmod(i, self._b)
-        return self._decoded(block_index)[0][within]
+        block, within = divmod(i, self._b)
+        return (self._word(block) >> within) & 1
 
     def __getitem__(self, i: int) -> int:
         return self.access(i)
@@ -375,12 +349,10 @@ class RRRBitVector:
         """Return the number of set bits in positions ``[0, i)``."""
         if not 0 <= i <= self._n:
             raise QueryError(f"rank position {i} out of range [0, {self._n}]")
-        if i == 0:
-            return 0
-        block_index, within = divmod(i, self._b)
-        result = self._class_cum_py[block_index]
+        block, within = divmod(i, self._b)
+        result = self._class_cum_py[block]
         if within:
-            result += self._decoded(block_index)[1][within]
+            result += (self._word(block) & ((1 << within) - 1)).bit_count()
         return result
 
     def rank0(self, i: int) -> int:
@@ -394,27 +366,23 @@ class RRRBitVector:
     def rank1_many(self, positions: Sequence[int] | np.ndarray) -> np.ndarray:
         """Vectorized :meth:`rank1` over an array of positions.
 
-        The block part of every rank is answered with one fancy-indexed
-        lookup into the cumulative class directory; only the in-block
-        residuals fall back to (memoised) block decodes.
+        The block part of every rank is one fancy-indexed lookup into the
+        cumulative class directory; the in-block residuals are one gather
+        from the word memo and a popcount.
         """
         pos = np.asarray(positions, dtype=np.int64)
         if pos.size == 0:
             return np.zeros(0, dtype=np.int64)
         if int(pos.min()) < 0 or int(pos.max()) > self._n:
             raise QueryError(f"rank positions out of range [0, {self._n}]")
-        block_index = pos // self._b
-        within = pos - block_index * self._b
-        result = self._class_cum[block_index].copy()
+        blocks, within = np.divmod(pos, self._b)
+        result = self._class_cum[blocks]
+        # A position at a block boundary needs no word (and ``n`` may sit
+        # one block past the last).
         residual = np.flatnonzero(within)
         if residual.size:
-            blocks_py = block_index.tolist()
-            within_py = within.tolist()
-            decoded = self._decoded
-            extra = [
-                decoded(blocks_py[idx])[1][within_py[idx]] for idx in residual.tolist()
-            ]
-            result[residual] += np.asarray(extra, dtype=np.int64)
+            words = self._block_words(blocks[residual])
+            result[residual] += np.bitwise_count(words & LOW_MASKS[within[residual]])
         return result
 
     def rank0_many(self, positions: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -429,11 +397,8 @@ class RRRBitVector:
             return np.zeros(0, dtype=np.int64)
         if int(pos.min()) < 0 or int(pos.max()) >= self._n:
             raise QueryError(f"bit indices out of range [0, {self._n})")
-        decoded = self._decoded
-        b = self._b
-        return np.asarray(
-            [decoded(p // b)[0][p % b] for p in pos.tolist()], dtype=np.int64
-        )
+        blocks, within = np.divmod(pos, self._b)
+        return (self._block_words(blocks) & BIT_MASKS[within] != 0).astype(np.int64)
 
     def _select_block(self, k: int, cum: np.ndarray, sample_of_k: int) -> int:
         """First block whose cumulative count (per ``cum``) reaches ``k``.
@@ -449,17 +414,15 @@ class RRRBitVector:
         """Return the position of the ``k``-th set bit (1-based).
 
         Seeds a block-level binary search from the sampled rank directory and
-        finishes with a single block decode, instead of bisecting the whole
-        vector with per-step rank calls.
+        finishes with an in-word select on the block's decoded word, instead
+        of bisecting the whole vector with per-step rank calls.
         """
         if not 1 <= k <= self._n_ones:
             raise QueryError(f"select1 argument {k} out of range [1, {self._n_ones}]")
         sample = int(np.searchsorted(self._rank_samples, k, side="left")) - 1
         block = self._select_block(k, self._class_cum, sample)
         remaining = k - self._class_cum_py[block]
-        prefix = self._decoded(block)[1]
-        within = int(np.searchsorted(np.asarray(prefix), remaining, side="left")) - 1
-        return block * self._b + within
+        return _select_in_word(self._word(block), remaining, block * self._b)
 
     def select0(self, k: int) -> int:
         """Return the position of the ``k``-th unset bit (1-based).
@@ -474,41 +437,26 @@ class RRRBitVector:
         sample = int(np.searchsorted(self._zero_samples, k, side="left")) - 1
         block = self._select_block(k, zeros_cum, sample)
         remaining = k - int(zeros_cum[block])
-        bits, prefix = self._decoded(block)
-        # zeros in bits[:i] = i - prefix[i]; find first i with that count == remaining
-        zero_prefix = np.arange(self._b + 1, dtype=np.int64) - np.asarray(prefix)
-        within = int(np.searchsorted(zero_prefix, remaining, side="left")) - 1
-        return block * self._b + within
+        complement = ~self._word(block) & ((1 << self._b) - 1)
+        return _select_in_word(complement, remaining, block * self._b)
 
     # ------------------------------------------------------------------ #
     # size accounting
     # ------------------------------------------------------------------ #
     def size_in_bits(self) -> int:
         """Bits of the succinct encoding (classes + offsets + rank samples)."""
-        class_bits_each = max(int(self._b).bit_length(), 1)
-        class_bits = int(self._classes.size) * class_bits_each
-        off_bits = sum(offset_bits(self._b, int(cls)) for cls in self._classes)
-        sample_bits = int(self._rank_samples.size) * 64
-        return class_bits + off_bits + sample_bits
+        return rrr_size_in_bits(
+            self._classes, np.asarray([self._classes.size]), self._b, self._sample_rate
+        )
 
     def to_numpy(self) -> np.ndarray:
-        """Materialise the bit vector as a ``uint8`` numpy array.
-
-        Distinct ``(class, offset)`` pairs are decoded once and broadcast to
-        every block sharing them, so repetitive bitmaps expand in O(distinct
-        blocks) decodes instead of O(blocks).
-        """
+        """Materialise the bit vector as a ``uint8`` numpy array (every block decoded)."""
         n_blocks = int(self._classes.size)
         if n_blocks == 0:
             return np.zeros(0, dtype=np.uint8)
-        pairs = np.stack(
-            [self._classes.astype(np.uint64), self._offsets], axis=1
-        )
-        unique, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        decoded = np.zeros((unique.shape[0], self._b), dtype=np.uint8)
-        for row, (cls, offset) in enumerate(unique.tolist()):
-            decoded[row] = _decoded_block(int(cls), int(offset), self._b)[0]
-        return decoded[inverse.ravel()].reshape(-1)[: self._n]
+        words = self._block_words(np.arange(n_blocks)).astype("<u8", copy=False)
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little").reshape(n_blocks, 64)
+        return bits[:, : self._b].reshape(-1)[: self._n]
 
     def to_list(self) -> list[int]:
         """Materialise the bit vector as a plain Python list."""

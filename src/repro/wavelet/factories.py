@@ -13,8 +13,9 @@ Both built-in backends also expose the vectorized batch primitives
 (``rank1_many`` / ``rank0_many`` / ``access_many``); the module-level helpers
 below dispatch to them when available and fall back to scalar loops so that
 custom backends implementing only the minimal protocol keep working in the
-wavelet matrix.  The wavelet tree's batched kernel reads the block arrays of
-the two built-in backends directly, so a tree accepts only those.
+wavelet matrix.  A wavelet tree builds no bit-vector objects: it stores every
+node's blocks in one flat array, which the two built-in factories encode
+(:func:`encode_segments`), so a tree accepts only those.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
+from ..exceptions import ConstructionError
 from ..succinct import BitVector, RRRBitVector
+from ..succinct.bitvector import scatter_segments
+from ..succinct.rrr import check_parameters, encode_blocks
 
 
 class BitVectorLike(Protocol):
@@ -59,22 +63,21 @@ def access_many(bitvector: BitVectorLike, positions: np.ndarray) -> np.ndarray:
     return np.asarray([bitvector.access(int(p)) for p in positions], dtype=np.int64)
 
 
-def build_many(
+def encode_segments(
     factory: BitVectorFactory, bits: np.ndarray, boundaries: np.ndarray
-) -> list[BitVectorLike]:
-    """Build one bit vector per segment of ``bits``.
+) -> dict[str, np.ndarray]:
+    """The blocks of every segment of ``bits``, concatenated, as a wavelet tree stores them.
 
-    Uses the factory's bulk constructor when it exposes one (both built-in
-    factories do — a whole wavelet level's nodes are then packed and
-    popcounted with a handful of whole-array numpy calls); otherwise falls
-    back to one factory call per segment.
+    Segment ``i`` is ``bits[boundaries[i] : boundaries[i + 1]]``, padded
+    with zeros to whole blocks.  Plain factories give ``words`` (64 bits
+    each); RRR factories give ``classes`` and ``offsets`` plus their
+    ``block_bits`` and ``rank_sample_rate``.  Each segment costs no Python
+    work: a whole wavelet level is packed or encoded in a few numpy calls.
     """
-    bulk = getattr(factory, "build_many", None)
-    if bulk is not None:
-        return bulk(bits, boundaries)
-    return [
-        factory(bits[boundaries[i] : boundaries[i + 1]]) for i in range(len(boundaries) - 1)
-    ]
+    encode = getattr(factory, "encode_segments", None)
+    if encode is None:
+        raise ConstructionError("wavelet trees need plain or RRR bit vectors")
+    return encode(bits, boundaries)
 
 
 def plain_bitvector_factory() -> BitVectorFactory:
@@ -83,7 +86,11 @@ def plain_bitvector_factory() -> BitVectorFactory:
     def factory(bits: Sequence[int]) -> BitVector:
         return BitVector(bits)
 
-    factory.build_many = BitVector.build_many  # type: ignore[attr-defined]
+    def encode(bits: np.ndarray, boundaries: np.ndarray) -> dict[str, np.ndarray]:
+        packed = np.packbits(scatter_segments(bits, boundaries, 64)[2], bitorder="little")
+        return {"words": packed.view("<u8").astype(np.uint64, copy=False)}
+
+    factory.encode_segments = encode  # type: ignore[attr-defined]
     return factory
 
 
@@ -101,10 +108,16 @@ def rrr_bitvector_factory(block_size: int = 63, sample_rate: int = 32) -> BitVec
     def factory(bits: Sequence[int]) -> RRRBitVector:
         return RRRBitVector(bits, block_size=block_size, sample_rate=sample_rate)
 
-    def bulk(bits: np.ndarray, boundaries: np.ndarray) -> list[RRRBitVector]:
-        return RRRBitVector.build_many(
-            bits, boundaries, block_size=block_size, sample_rate=sample_rate
-        )
+    def encode(bits: np.ndarray, boundaries: np.ndarray) -> dict[str, np.ndarray]:
+        check_parameters(block_size, sample_rate)
+        buffer = scatter_segments(bits, boundaries, block_size)[2]
+        classes, offsets = encode_blocks(buffer.reshape(-1, block_size))
+        return {
+            "block_bits": np.asarray([block_size], dtype=np.int64),
+            "rank_sample_rate": np.asarray([sample_rate], dtype=np.int64),
+            "classes": classes,
+            "offsets": offsets,
+        }
 
-    factory.build_many = bulk  # type: ignore[attr-defined]
+    factory.encode_segments = encode  # type: ignore[attr-defined]
     return factory

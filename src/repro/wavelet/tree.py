@@ -3,30 +3,30 @@
 The same machinery implements both the Huffman-shaped wavelet tree (HWT) used
 by CiNCT / ICB-Huff and a balanced wavelet tree (fixed-width codes): the tree
 shape is entirely determined by the code assigned to each symbol.  Each node
-stores one bit vector (plain or RRR, see :mod:`repro.wavelet.factories`)
-holding, for every sequence element routed through that node, the next bit of
-its code.
+has one bitmap (plain or RRR, see :mod:`repro.wavelet.factories`) holding,
+for every sequence element routed through that node, the next bit of its
+code.
 
 Construction routes the *whole sequence* level by level with numpy stable
 partitions instead of shuffling Python lists symbol by symbol, and the tree
-topology is resolved at build time into flat arrays: a global list of node
-bit vectors, per-node child pointers, and per-symbol tables of the node ids
-along each code path.
+topology is resolved at build time into flat arrays: per-node child pointers
+and per-symbol tables of the node ids along each code path.
 
-Scalar ``rank(symbol, i)`` walks the code of ``symbol`` from the root,
-performing one bit-vector rank per level — exactly the access pattern whose
-cost the paper analyses (Theorem 1: O(1 + H0) expected levels for a Huffman
-shape).  The batched queries (:meth:`WaveletTree.rank_pairs`,
+The node bitmaps live in one **flat block directory**: every node's blocks
+concatenated into tree-wide arrays, with one start-block index per node and
+one cumulative popcount for the whole tree (Navarro, "Wavelet trees for all",
+JDA 2014).  No node has a bit-vector object of its own.  Scalar
+``rank(symbol, i)`` walks the code of ``symbol`` from the root with one rank
+per level, read from the directory with native ints: exactly the access
+pattern whose cost the paper analyses (Theorem 1: O(1 + H0) expected levels
+for a Huffman shape).  The batched queries (:meth:`WaveletTree.rank_pairs`,
 :meth:`~WaveletTree.rank_many`, :meth:`~WaveletTree.access_many` and the
-fused :meth:`~WaveletTree.inverse_select_many`) run level-synchronously over a
-**flat block directory**: every node's blocks concatenated into tree-wide
-arrays with one start-block index per node and one cumulative popcount for
-the whole tree.  A rank or access for any mix of ``(node, position)`` pairs
-at one depth is then one gather plus ``np.bitwise_count`` — no per-node loop
-(Navarro, "Wavelet trees for all", JDA 2014).  RRR blocks are decoded to
-64-bit words the first time a batched query touches them and memoised in a
-per-tree array; the succinct encoding, and hence :meth:`size_in_bits`, is
-unchanged.
+fused :meth:`~WaveletTree.inverse_select_many`) run level-synchronously over
+the same directory: a rank or access for any mix of ``(node, position)``
+pairs at one depth is one gather plus ``np.bitwise_count``, with no per-node
+loop.  RRR blocks are decoded to 64-bit words the first time any query
+touches them and memoised in one per-tree array; the succinct encoding, and
+hence :meth:`size_in_bits`, is unchanged.
 """
 
 from __future__ import annotations
@@ -36,15 +36,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..exceptions import AlphabetError, ConstructionError, QueryError
-from ..succinct import BitVector, RRRBitVector, build_huffman_code, decode_blocks
+from ..succinct import build_huffman_code
 from ..succinct.bitvector import BIT_MASKS, LOW_MASKS
-from .factories import BitVectorFactory, BitVectorLike, build_many, plain_bitvector_factory
+from ..succinct.rrr import UNDECODED, memo_word, memo_words, rrr_size_in_bits, word_memo
+from .factories import BitVectorFactory, encode_segments, plain_bitvector_factory
 
-#: Word of an RRR block not decoded yet; no block of ``b <= 63`` bits has
-#: every one of the 64 bits set.
-_UNDECODED = np.uint64(0xFFFFFFFFFFFFFFFF)
-_ZERO_CLASS = np.zeros(1, dtype=np.uint8)
-_ZERO_WORD = np.zeros(1, dtype=np.uint64)
+#: The per-block arrays of the flat directory, and the zero block that ends each.
+_BLOCK_ARRAYS = {
+    "classes": np.zeros(1, dtype=np.uint8),
+    "offsets": np.zeros(1, dtype=np.uint64),
+    "words": np.zeros(1, dtype=np.uint64),
+}
 
 
 class WaveletTree:
@@ -58,7 +60,7 @@ class WaveletTree:
         Mapping from every distinct symbol of ``sequence`` to its code, a
         tuple of bits (root-to-leaf).  The code must be prefix-free.
     bitvector_factory:
-        Backend used for the per-node bit vectors: plain or RRR (see
+        Encoding of the node bitmaps: plain or RRR (see
         :mod:`repro.wavelet.factories`).
     """
 
@@ -98,7 +100,7 @@ class WaveletTree:
                 raise ConstructionError("codes are not prefix-free")
 
         self._build_topology(present)
-        self._build_block_directory(self._build_bitvectors(seq, values, factory))
+        self._install_blocks(self._route(seq, values, factory))
         self._build_paths()
 
     @classmethod
@@ -106,8 +108,8 @@ class WaveletTree:
         """Restore a tree from :meth:`arrays` without routing a sequence.
 
         The code fixes the topology and the path tables (one entry per
-        symbol); the node bit vectors are views over the stored flat block
-        arrays, so a memory-mapped archive stays mapped.
+        symbol); the flat block arrays are held as given, so a memory-mapped
+        archive stays mapped.
         """
         self = object.__new__(cls)
         self._codes = {
@@ -124,15 +126,7 @@ class WaveletTree:
         }
         self._build_topology(sorted(self._frequencies))
         self._n = int(arrays["node_lengths"][0])
-        rrr = "classes" in arrays
-        self._install_blocks(
-            arrays["node_lengths"],
-            int(arrays["block_bits"][0]) if rrr else 64,
-            classes=arrays.get("classes"),
-            offsets=arrays.get("offsets"),
-            words=arrays.get("words"),
-            sample_rate=int(arrays["rank_sample_rate"][0]) if rrr else 32,
-        )
+        self._install_blocks(arrays)
         self._build_paths()
         return self
 
@@ -140,9 +134,10 @@ class WaveletTree:
         """The saved form of the tree: its code, node lengths and flat blocks.
 
         ``symbols``/``counts``/``code_lengths``/``code_bits`` fix the shape,
-        ``node_lengths`` the bits per node, and ``classes``/``offsets`` (RRR)
-        or ``words`` (plain) hold every node's blocks, one zero block last.
-        The memo of decoded RRR words is not part of it.
+        ``node_lengths`` the bits per node, and ``classes``/``offsets`` (RRR,
+        with ``block_bits`` and ``rank_sample_rate``) or ``words`` (plain)
+        hold every node's blocks, one zero block last.  The memo of decoded
+        RRR words is not part of it.
         """
         symbols, _, _, code_bits = self._pair_tables
         out = {
@@ -156,7 +151,7 @@ class WaveletTree:
             out["words"] = self._words
         else:
             out["block_bits"] = np.asarray([self._block_bits], dtype=np.int64)
-            out["rank_sample_rate"] = np.asarray([self._node_bvs[0].sample_rate], dtype=np.int64)
+            out["rank_sample_rate"] = np.asarray([self._sample_rate], dtype=np.int64)
             out["classes"] = self._classes
             out["offsets"] = self._offsets
         return out
@@ -232,19 +227,14 @@ class WaveletTree:
                 child_rows[renumbered][1] = new_id[right]
         self._child = np.asarray(child_rows, dtype=np.int64)
 
-        # child_local_maps[level][parent_local * 2 + bit] -> local id at
-        # level + 1, or -1 when the (parent, bit) side holds no internal node.
-        self._child_local_maps: list[np.ndarray] = []
-        for level in range(self._levels - 1):
-            lo = level_offsets[level]
-            hi = level_offsets[level + 1]
-            flat = self._child[lo:hi].reshape(-1)
-            self._child_local_maps.append(np.where(flat >= 0, flat - hi, -1))
-
-    def _build_bitvectors(
+    def _route(
         self, seq: np.ndarray, values: np.ndarray, factory: BitVectorFactory
-    ) -> list[BitVectorLike]:
-        """Route the whole sequence level by level with stable partitions."""
+    ) -> dict[str, np.ndarray]:
+        """Route the whole sequence level by level with stable partitions.
+
+        Each level's node bitmaps are encoded in one factory call; returns
+        the flat block arrays of every node, in the form of :meth:`arrays`.
+        """
         m = int(values.size)
         seq_ids = np.searchsorted(values, seq)
         code_len = np.zeros(m, dtype=np.int64)
@@ -255,13 +245,15 @@ class WaveletTree:
             for depth, bit in enumerate(code):
                 bit_at[depth, local] = bit
 
-        node_bvs: list[BitVectorLike] = []
+        node_lengths: list[np.ndarray] = []
+        levels: list[dict[str, np.ndarray]] = []
         cur_ids = seq_ids
         cur_nodes = np.zeros(seq.size, dtype=np.int64)
         for level in range(self._levels):
             bits = bit_at[level][cur_ids]
             starts = np.searchsorted(cur_nodes, np.arange(self._level_sizes[level] + 1))
-            node_bvs.extend(build_many(factory, bits, starts))
+            node_lengths.append(np.diff(starts))
+            levels.append(encode_segments(factory, bits, starts))
             if level + 1 >= self._levels:
                 break
             # Stable partition of every node into (zeros, ones) in O(n): each
@@ -277,7 +269,11 @@ class WaveletTree:
             destination = node_base + np.where(
                 bits == 0, zeros_before, zeros_in_node[cur_nodes] + ones_before
             )
-            children = self._child_local_maps[level][cur_nodes * 2 + bits]
+            # The child of (parent, bit) as a local id at the next level, or
+            # -1 when that side holds no internal node.
+            first_child = self._level_offsets[level + 1]
+            sides = self._child[self._level_offsets[level] : first_child].reshape(-1)
+            children = np.where(sides >= 0, sides - first_child, -1)[cur_nodes * 2 + bits]
             survive = code_len[cur_ids] > level + 1
             next_ids = np.empty_like(cur_ids)
             next_nodes = np.empty_like(cur_nodes)
@@ -287,42 +283,15 @@ class WaveletTree:
             next_survive[destination] = survive
             cur_ids = next_ids[next_survive]
             cur_nodes = next_nodes[next_survive]
-        return node_bvs
+        flat = dict(levels[0])
+        for key, zero in _BLOCK_ARRAYS.items():
+            if key in flat:
+                flat[key] = np.concatenate([parts[key] for parts in levels] + [zero])
+        flat["node_lengths"] = np.concatenate(node_lengths)
+        return flat
 
-    def _build_block_directory(self, bvs: list[BitVectorLike]) -> None:
-        """Concatenate the routed nodes' blocks into tree-wide arrays.
-
-        Plain bit vectors contribute their packed words, RRR bit vectors
-        their classes and offsets.  One zero block at the end keeps a rank at
-        the very end of the last node in bounds.
-        """
-        node_lengths = np.asarray([len(bv) for bv in bvs], dtype=np.int64)
-        if all(isinstance(bv, RRRBitVector) for bv in bvs):
-            self._install_blocks(
-                node_lengths,
-                bvs[0].block_size,
-                classes=np.concatenate([bv.block_classes for bv in bvs] + [_ZERO_CLASS]),
-                offsets=np.concatenate([bv.block_offsets for bv in bvs] + [_ZERO_WORD]),
-                sample_rate=bvs[0].sample_rate,
-            )
-        elif all(isinstance(bv, BitVector) for bv in bvs):
-            self._install_blocks(
-                node_lengths, 64, words=np.concatenate([bv.words for bv in bvs] + [_ZERO_WORD])
-            )
-        else:
-            raise ConstructionError("wavelet trees need plain or RRR bit vectors")
-
-    def _install_blocks(
-        self,
-        node_lengths: np.ndarray,
-        block_bits: int,
-        *,
-        classes: np.ndarray | None = None,
-        offsets: np.ndarray | None = None,
-        words: np.ndarray | None = None,
-        sample_rate: int = 32,
-    ) -> None:
-        """Install the flat block directory and the node bit vectors over it.
+    def _install_blocks(self, arrays: Mapping[str, np.ndarray]) -> None:
+        """Install the flat block directory from ``node_lengths`` and the blocks of :meth:`arrays`.
 
         Node ``v`` owns blocks ``[_node_start[v], _node_start[v + 1])`` of
         ``_block_bits`` bits each, ``_cum[k]`` counts the ones in every block
@@ -330,39 +299,33 @@ class WaveletTree:
         before position ``p`` of node ``v`` are ``_cum[k] - _node_base[v]``
         plus a popcount of block ``k = _node_start[v] + p // _block_bits``.
 
-        RRR words start out as :data:`_UNDECODED` and are decoded the first
-        time a query touches them (class-0 blocks are all zeros and start out
-        decoded).  Every node bit vector is a view over the flat arrays.
+        RRR words start out in an empty memo (:func:`~repro.succinct.rrr.word_memo`)
+        and are decoded the first time a query touches them.
         """
+        node_lengths = arrays["node_lengths"]
         self._node_lengths = node_lengths
-        self._block_bits = block_bits
-        self._node_start = np.zeros(node_lengths.size + 1, dtype=np.int64)
-        np.cumsum((node_lengths + block_bits - 1) // block_bits, out=self._node_start[1:])
-        self._classes, self._offsets = classes, offsets
-        if classes is not None:
-            self._words = np.where(classes == 0, np.uint64(0), _UNDECODED)
-            ones = classes
+        self._classes = arrays.get("classes")
+        self._offsets = arrays.get("offsets")
+        if self._classes is not None:
+            self._block_bits = int(arrays["block_bits"][0])
+            self._sample_rate = int(arrays["rank_sample_rate"][0])
+            self._words = word_memo(self._classes)
+            ones = self._classes
         else:
-            self._words = words
-            ones = np.bitwise_count(words)
+            self._block_bits = 64
+            self._sample_rate = None
+            self._words = arrays["words"]
+            ones = np.bitwise_count(self._words)
+        self._node_start = np.zeros(node_lengths.size + 1, dtype=np.int64)
+        np.cumsum(
+            (node_lengths + self._block_bits - 1) // self._block_bits, out=self._node_start[1:]
+        )
         self._cum = np.zeros(ones.size + 1, dtype=np.int64)
         np.cumsum(ones, out=self._cum[1:])
         self._node_base = self._cum[self._node_start[:-1]]
-        # Node views are cut from plain ndarray views: slicing a memory map
-        # costs far more per call, and the views still share its pages.
-        flat = [np.asarray(a) for a in ((classes, offsets) if classes is not None else (words,))]
-        starts = self._node_start.tolist()
-        self._node_bvs: list[BitVectorLike] = []
-        for node, length in enumerate(node_lengths.tolist()):
-            lo, hi = starts[node], starts[node + 1]
-            cum = self._cum[lo : hi + 1] - self._cum[lo]
-            if classes is not None:
-                bv: BitVectorLike = RRRBitVector._from_parts(
-                    length, block_bits, sample_rate, flat[0][lo:hi], flat[1][lo:hi], cum
-                )
-            else:
-                bv = BitVector._from_packed(length, flat[0][lo:hi], cum)
-            self._node_bvs.append(bv)
+        # Native-int mirrors, one entry per node, for the scalar walks.
+        self._node_start_py = self._node_start.tolist()
+        self._node_base_py = self._node_base.tolist()
 
     def _build_paths(self) -> None:
         """Resolve per-symbol code paths, leaf pointers and the path tables.
@@ -403,22 +366,23 @@ class WaveletTree:
         self._leaf_symbol[sides] = np.asarray(symbols, dtype=np.int64)[rows]
         self._has_leaf[sides] = True
         self._pair_tables = (np.asarray(symbols, dtype=np.int64), depths, node_table, bit_table)
+        # Native-int mirrors of the (node, bit) sides for :meth:`inverse_select`.
+        self._child_py = self._child.reshape(-1).tolist()
+        self._leaf_py = [
+            symbol if leaf else None
+            for symbol, leaf in zip(
+                self._leaf_symbol.reshape(-1).tolist(), self._has_leaf.reshape(-1).tolist()
+            )
+        ]
 
     # ------------------------------------------------------------------ #
     # the level-synchronous kernel
     # ------------------------------------------------------------------ #
     def _block_words(self, blocks: np.ndarray) -> np.ndarray:
         """The 64-bit words of ``blocks``, decoding RRR blocks on first touch."""
-        words = self._words[blocks]
-        if self._classes is not None:
-            stale = words == _UNDECODED
-            if stale.any():
-                fresh = np.unique(blocks[stale])
-                self._words[fresh] = decode_blocks(
-                    self._classes[fresh], self._offsets[fresh], self._block_bits
-                )
-                words = self._words[blocks]
-        return words
+        if self._classes is None:
+            return self._words[blocks]
+        return memo_words(self._words, self._classes, self._offsets, blocks, self._block_bits)
 
     def _node_rank1(
         self, nodes: np.ndarray | int, positions: np.ndarray
@@ -460,20 +424,33 @@ class WaveletTree:
             raise AlphabetError(f"symbol {symbol} not in the wavelet tree alphabet") from None
 
     def rank(self, symbol: int, i: int) -> int:
-        """Number of occurrences of ``symbol`` in ``sequence[0:i]`` (exclusive)."""
+        """Number of occurrences of ``symbol`` in ``sequence[0:i]`` (exclusive).
+
+        One rank per code bit, each read from the flat directory with native
+        ints: block ``k = _node_start[v] + p // b`` holds position ``p`` of
+        node ``v``, and the ones before it are ``_cum[k] - _node_base[v]``
+        plus a popcount of the low bits of word ``k``.
+        """
         if not 0 <= i <= self._n:
             raise QueryError(f"rank position {i} out of range [0, {self._n}]")
         path = self._paths.get(int(symbol))
         if path is None:
             return 0
-        node_ids, bits = path
+        b = self._block_bits
+        starts, bases, cum = self._node_start_py, self._node_base_py, self._cum
+        words, classes = self._words, self._classes
         position = i
-        node_bvs = self._node_bvs
-        for node_id, bit in zip(node_ids, bits):
-            if node_id < 0:
-                return 0
-            bitvector = node_bvs[node_id]
-            position = bitvector.rank1(position) if bit else bitvector.rank0(position)
+        for node, bit in zip(*path):
+            block, within = divmod(position, b)
+            block += starts[node]
+            ones = cum.item(block) - bases[node]
+            if within:
+                word = words.item(block)
+                # A plain word of 64 ones reads as UNDECODED; it is final.
+                if word == UNDECODED and classes is not None:
+                    word = memo_word(words, classes, self._offsets, block, b)
+                ones += (word & ((1 << within) - 1)).bit_count()
+            position = ones if bit else position - ones
             if position == 0:
                 return 0
         return position
@@ -546,18 +523,28 @@ class WaveletTree:
         """
         if not 0 <= i < self._n:
             raise QueryError(f"access position {i} out of range [0, {self._n})")
+        b = self._block_bits
+        starts, bases, cum = self._node_start_py, self._node_base_py, self._cum
+        words, classes = self._words, self._classes
+        child, leaf = self._child_py, self._leaf_py
         node = 0
         position = i
         while True:
-            bitvector = self._node_bvs[node]
-            bit = bitvector.access(position)
-            position = bitvector.rank1(position) if bit else bitvector.rank0(position)
-            if self._has_leaf[node, bit]:
-                return int(self._leaf_symbol[node, bit]), position
-            child = int(self._child[node, bit])
-            if child < 0:
-                raise QueryError(f"bit path at node {node} does not correspond to a symbol")
-            node = child
+            block, within = divmod(position, b)
+            block += starts[node]
+            word = words.item(block)
+            if word == UNDECODED and classes is not None:
+                word = memo_word(words, classes, self._offsets, block, b)
+            ones = cum.item(block) - bases[node] + (word & ((1 << within) - 1)).bit_count()
+            bit = (word >> within) & 1
+            position = ones if bit else position - ones
+            side = 2 * node + bit
+            symbol = leaf[side]
+            if symbol is not None:
+                return symbol, position
+            node = child[side]
+            if node < 0:
+                raise QueryError(f"bit path at side {side} does not correspond to a symbol")
 
     def access_many(self, positions: Sequence[int] | np.ndarray) -> np.ndarray:
         """Vectorized :meth:`access` over an array of positions."""
@@ -607,23 +594,32 @@ class WaveletTree:
     # size accounting
     # ------------------------------------------------------------------ #
     def size_in_bits(self) -> int:
-        """Total size: per-node bit vectors plus tree topology overhead.
+        """Total size: per-node bitmaps plus tree topology overhead.
 
-        Each stored node is charged two 64-bit pointers (children) as the
-        structural overhead the paper refers to when discussing Huffman-tree
-        pointers; leaves are charged one symbol entry of ``ceil(lg sigma)``
-        bits via the code table.
+        Each node's bitmap is charged what its own bit vector would report
+        (:meth:`RRRBitVector.size_in_bits <repro.succinct.RRRBitVector.size_in_bits>`
+        or :meth:`BitVector.size_in_bits <repro.succinct.BitVector.size_in_bits>`),
+        summed from the flat arrays.  Each stored node is charged two 64-bit
+        pointers (children) as the structural overhead the paper refers to
+        when discussing Huffman-tree pointers; leaves are charged one symbol
+        entry of ``ceil(lg sigma)`` bits via the code table.
         """
-        bits = sum(bv.size_in_bits() for bv in self._node_bvs)
-        bits += len(self._node_bvs) * 2 * 64
+        lengths = np.asarray(self._node_lengths, dtype=np.int64)
+        if self._classes is None:
+            bits = int((lengths + lengths // 4 + 128).sum())
+        else:
+            bits = rrr_size_in_bits(
+                self._classes, np.diff(self._node_start), self._block_bits, self._sample_rate
+            )
+        bits += int(lengths.size) * 2 * 64
         sigma = max(self._codes) + 1 if self._codes else 1
         symbol_bits = max(int(sigma - 1).bit_length(), 1)
         bits += len(self._codes) * symbol_bits
         return bits
 
     def node_count(self) -> int:
-        """Number of internal (bit-vector-bearing) nodes."""
-        return len(self._node_bvs)
+        """Number of internal (bitmap-bearing) nodes."""
+        return int(self._node_lengths.size)
 
     def average_depth(self) -> float:
         """Average code length weighted by symbol frequency."""

@@ -19,7 +19,7 @@ from repro.core import CiNCT
 from repro.exceptions import QueryError
 from repro.fmindex import FixedBlockFMIndex
 from repro.fmindex.variants import available_baselines, build_baseline
-from repro.succinct import BitVector, RRRBitVector
+from repro.succinct import BitVector, RRRBitVector, decode_block
 from repro.wavelet import (
     BalancedWaveletTree,
     HuffmanWaveletTree,
@@ -118,20 +118,58 @@ def boundary_positions(n: int) -> list[int]:
     return sorted(p for p in positions if 0 <= p <= n)
 
 
+def node_bitmaps(tree: WaveletTree) -> list[list[int]]:
+    """Each node's bitmap, decoded block by block from the flat arrays.
+
+    RRR blocks go through the scalar reference decoder :func:`decode_block`;
+    plain blocks are the low bits of each 64-bit word.  Neither reads the
+    tree's word memo.
+    """
+    flat = tree.arrays()
+    lengths = flat["node_lengths"].tolist()
+    if "classes" in flat:
+        b = int(flat["block_bits"][0])
+        blocks = [
+            decode_block(cls, offset, b)
+            for cls, offset in zip(flat["classes"].tolist(), flat["offsets"].tolist())
+        ]
+    else:
+        b = 64
+        blocks = [[(word >> i) & 1 for i in range(64)] for word in flat["words"].tolist()]
+    bitmaps, start = [], 0
+    for length in lengths:
+        n_blocks = -(-length // b)
+        bits = [bit for block in blocks[start : start + n_blocks] for bit in block]
+        bitmaps.append(bits[:length])
+        start += n_blocks
+    assert start == len(blocks) - 1  # one zero block ends the directory
+    return bitmaps
+
+
 def assert_kernel_matches_nodes(tree: WaveletTree) -> None:
-    """The flat block directory against each node's own bit vector.
+    """The flat block directory against a naive count over each node's bitmap.
 
     Every node at 0, at its end and around each block boundary, all in one
     mixed-node kernel call.
     """
     nodes, positions, expected = [], [], []
-    for node, bitvector in enumerate(tree._node_bvs):
-        for p in boundary_positions(len(bitvector)):
+    for node, bitmap in enumerate(node_bitmaps(tree)):
+        for p in boundary_positions(len(bitmap)):
             nodes.append(node)
             positions.append(p)
-            expected.append(bitvector.rank1(p))
+            expected.append(sum(bitmap[:p]))
+    assert len(nodes) >= tree.node_count()
     ones = tree._node_rank1(np.asarray(nodes), np.asarray(positions))[0]
     assert ones.tolist() == expected
+
+
+def assert_inverse_select_matches_naive(tree: WaveletTree, sequence: list[int], positions) -> None:
+    """``inverse_select`` (scalar and batched) against the sequence itself."""
+    positions = list(positions)
+    expected = [(sequence[p], sequence[:p].count(sequence[p])) for p in positions]
+    assert [tree.inverse_select(p) for p in positions] == expected
+    symbols, ranks = tree.inverse_select_many(positions)
+    assert list(zip(symbols.tolist(), ranks.tolist())) == expected
 
 
 @pytest.mark.parametrize("name", sorted(WAVELET_STRUCTURES))
@@ -144,11 +182,15 @@ def test_wavelet_flat_nodes_match_naive(name, data):
     )
     structure = WAVELET_STRUCTURES[name](np.asarray(sequence, dtype=np.int64))
     n = len(sequence)
-    for i in {0, n // 3, n // 2, n}:
+    boundaries = boundary_positions(n)
+    for i in boundaries:
         for symbol in set(sequence[:4]) | {0, 15, 17}:
             assert structure.rank(symbol, i) == sequence[:i].count(symbol)
-    for i in {0, n // 2, n - 1}:
-        assert structure.access(i) == sequence[i]
+    for i in boundaries:
+        if i < n:
+            assert structure.access(i) == sequence[i]
+    if isinstance(structure, WaveletTree):
+        assert_inverse_select_matches_naive(structure, sequence, (p for p in boundaries if p < n))
 
 
 @pytest.mark.parametrize("name", sorted(WAVELET_STRUCTURES))
@@ -165,12 +207,14 @@ def test_wavelet_many_matches_scalar(name, data):
     rank_positions += boundaries
     symbol = data.draw(st.integers(0, 16))
     expected = [structure.rank(symbol, p) for p in rank_positions]
+    assert expected == [sequence[:p].count(symbol) for p in rank_positions]
     assert structure.rank_many(symbol, rank_positions).tolist() == expected
     access_positions = data.draw(
         st.lists(st.integers(0, n - 1), min_size=0, max_size=30)
     )
     access_positions += [p for p in boundaries if p < n]
     symbols = [structure.access(p) for p in access_positions]
+    assert symbols == [sequence[p] for p in access_positions]
     assert structure.access_many(access_positions).tolist() == symbols
     if not isinstance(structure, WaveletTree):
         return
@@ -180,6 +224,7 @@ def test_wavelet_many_matches_scalar(name, data):
     assert got_symbols.tolist() == symbols
     assert got_ranks.tolist() == ranks
     assert [structure.inverse_select(p) for p in access_positions] == list(zip(symbols, ranks))
+    assert_inverse_select_matches_naive(structure, sequence, access_positions)
     # rank(s, n) visits every node on s's path at that node's end.
     alphabet = sorted(set(sequence)) + [-1, 17]
     assert structure.rank_pairs(alphabet, [n] * len(alphabet)).tolist() == [

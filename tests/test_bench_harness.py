@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.bench import (
@@ -10,11 +12,13 @@ from repro.bench import (
     build_index,
     bwt_of_bundle,
     format_table,
+    load_bench_baseline,
     measure_extraction_time,
     measure_search_time,
     run_size_time_experiment,
     sample_query_workload,
     summarise_winner,
+    write_bench_baseline,
 )
 from repro.datasets import chess_like
 
@@ -64,10 +68,40 @@ class TestWorkloadAndTiming:
         assert timing.mean_microseconds == pytest.approx(timing.mean_seconds * 1e6)
         assert timing.n_queries == 5
 
+    def test_measure_search_time_reports_a_warm_pass(self):
+        """A slow first touch (here a 50 ms stall) is not part of the reported time."""
+
+        class FirstCallStalls:
+            name = "stub"
+
+            def __init__(self):
+                self.calls = 0
+
+            def suffix_range(self, pattern):
+                self.calls += 1
+                if self.calls == 1:
+                    time.sleep(0.05)
+                return (0, 1)
+
+        stub = FirstCallStalls()
+        timing = measure_search_time(stub, [[1, 2]] * 4)
+        assert timing.name == "stub"
+        assert timing.n_queries == 4
+        assert stub.calls == 4 * 6  # one warm-up pass and five timed passes
+        assert timing.mean_seconds < 0.005
+
     def test_measure_search_time_empty_workload(self, tiny_bwt):
         built = build_index("UFMI", tiny_bwt)
         with pytest.raises(ValueError):
             measure_search_time(built.index, [])
+
+    def test_baseline_records_its_host_and_scale(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.25")
+        write_bench_baseline("probe", {"seconds": 1.5}, directory=tmp_path)
+        document = load_bench_baseline("probe", directory=tmp_path)
+        assert document["results"] == {"seconds": 1.5}
+        assert document["environment"]["scale"] == 0.25
+        assert document["environment"]["cpu_count"] >= 1
 
     def test_measure_extraction_time(self, tiny_bwt):
         built = build_index("CiNCT", tiny_bwt, block_size=31)

@@ -109,12 +109,23 @@ def test_threaded_run_many_with_cache_disabled(dataset, query_mix):
         assert outcome == expected
 
 
-def test_wavelet_decode_memo_filled_from_many_threads():
+def _scalar_inverse_select(tree, rows):
+    pairs = [tree.inverse_select(int(row)) for row in rows]
+    return np.asarray([s for s, _ in pairs]), np.asarray([r for _, r in pairs])
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [lambda tree, rows: tree.inverse_select_many(rows), _scalar_inverse_select],
+    ids=["batched", "scalar"],
+)
+def test_wavelet_decode_memo_filled_from_many_threads(walk):
     """Threads racing to decode the same RRR blocks all read correct words.
 
-    The per-tree memo of decoded blocks is shared and unlocked: every writer
-    stores the same deterministic word, so a reader sees either the
-    not-decoded marker (and decodes the block itself) or the final word.
+    The per-tree memo of decoded blocks is shared and unlocked, by the
+    batched kernel and the scalar walk alike: every writer stores the same
+    deterministic word, so a reader sees either the not-decoded marker (and
+    decodes the block itself) or the final word.
     """
     rng = np.random.default_rng(11)
     sequence = rng.integers(0, 12, size=6000)
@@ -131,7 +142,7 @@ def test_wavelet_decode_memo_filled_from_many_threads():
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
-            futures = [pool.submit(tree.inverse_select_many, chunk) for chunk in rows]
+            futures = [pool.submit(walk, tree, chunk) for chunk in rows]
             outcomes = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)

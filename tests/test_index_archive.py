@@ -11,6 +11,9 @@ numpy buffers the engine keeps, views once and mapped pages apart.
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ import repro.core.cinct as cinct_module
 from repro.analysis.footprint import held_bytes
 from repro.core import CiNCT
 from repro.core.etgraph import ETGraph
+from repro.datasets.registry import singapore_like
 from repro.engine import (
     ContainsQuery,
     CountQuery,
@@ -30,6 +34,7 @@ from repro.engine import (
 from repro.io import load_index, save_index
 from repro.network import grid_network
 from repro.strings import bwt as bwt_module
+from repro.succinct import RRRBitVector
 from repro.trajectories import TrajectoryDataset, straight_biased_walks
 from repro.wavelet import HuffmanWaveletTree, WaveletTree
 
@@ -160,6 +165,8 @@ def test_load_runs_no_construction_step(fleet_dataset, tmp_path, monkeypatch):
         monkeypatch.setattr(cinct_module, name, forbidden)
     monkeypatch.setattr(HuffmanWaveletTree, "__init__", forbidden)
     monkeypatch.setattr(WaveletTree, "__init__", forbidden)
+    # The tree reads its flat block arrays: no per-node bit vector is built.
+    monkeypatch.setattr(RRRBitVector, "__init__", forbidden)
 
     cases = (
         ("cinct", cinct, _queries(fleet_dataset.trajectories, extract=True)),
@@ -170,6 +177,32 @@ def test_load_runs_no_construction_step(fleet_dataset, tmp_path, monkeypatch):
             loaded = load_index(tmp_path / name, mmap=mmap)
             assert loaded.run_many(queries) == built.run_many(queries)
             assert loaded.size_in_bits() == built.size_in_bits()
+
+
+def test_scalar_walks_retain_no_memory_per_query(tmp_path):
+    """Scalar locates and extracts on a loaded index keep nothing per block they touch.
+
+    The blocks they decode go into the tree's own word memo, allocated at
+    load; no process-wide cache of decoded blocks grows with the traffic.
+    """
+    bundle = singapore_like(scale=0.5)
+    config = EngineConfig(backend="cinct", sa_sample_rate=16)
+    save_index(build_engine(bundle.dataset, config), tmp_path)
+    index = load_index(tmp_path).shards[0].backend.index
+    assert index.length == 19_979
+    assert index.arrays()["hwt_classes"].size == 975
+    rows = np.random.default_rng(3).integers(0, index.length, 2_000).tolist()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for row in rows:
+            index.locate(row)
+            index.extract(row, 8)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 # --------------------------------------------------------------------------- #

@@ -153,11 +153,25 @@ class TestRRRCompression:
     st.sampled_from([7, 15, 31, 63]),
 )
 def test_rrr_equals_plain_on_arbitrary_inputs(bits, block_size):
-    """RRR behaves exactly like the plain bit vector for rank and access."""
+    """RRR behaves exactly like the plain bit vector for rank, access and select."""
     plain = BitVector(bits)
     rrr = RRRBitVector(bits, block_size=block_size)
     n = len(bits)
     for i in {0, 1, n // 3, n // 2, n - 1, n}:
         if 0 <= i <= n:
             assert rrr.rank1(i) == plain.rank1(i)
+    # Every block boundary with its neighbours, scalar and batched.
+    edges = {0, n}
+    for k in range(block_size, n + 1, block_size):
+        edges.update((k - 1, k, k + 1))
+    ranks = sorted(p for p in edges if 0 <= p <= n)
+    bits_at = [p for p in ranks if p < n]
+    assert [rrr.rank1(p) for p in ranks] == [plain.rank1(p) for p in ranks]
+    assert rrr.rank1_many(ranks).tolist() == plain.rank1_many(ranks).tolist()
+    assert [rrr.access(p) for p in bits_at] == [plain.access(p) for p in bits_at]
+    assert rrr.access_many(bits_at).tolist() == plain.access_many(bits_at).tolist()
+    for k in range(1, plain.n_ones + 1):
+        assert rrr.select1(k) == plain.select1(k)
+    for k in range(1, plain.n_zeros + 1):
+        assert rrr.select0(k) == plain.select0(k)
     assert rrr.to_list() == plain.to_list()

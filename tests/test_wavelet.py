@@ -116,6 +116,30 @@ class TestHuffmanShape:
         distinct = len(np.unique(skewed_sequence))
         assert tree.node_count() <= distinct
 
+    @pytest.mark.parametrize(
+        "factory, huffman_bits, balanced_bits",
+        [
+            (plain_bitvector_factory(), 31281, 38985),
+            (rrr_bitvector_factory(15), 26461, 28307),
+            (rrr_bitvector_factory(31), 25810, 26822),
+            (rrr_bitvector_factory(63), 25820, 26360),
+        ],
+        ids=["plain", "rrr-15", "rrr-31", "rrr-63"],
+    )
+    def test_size_in_bits_pinned(self, factory, huffman_bits, balanced_bits):
+        """The paper's accounting, summed over the nodes from the flat arrays.
+
+        The values are those of the per-node bit vectors' own
+        ``size_in_bits`` before the tree stopped building them.
+        """
+        seq = np.random.default_rng(2024).zipf(1.5, 3000) % 64
+        shapes = ((HuffmanWaveletTree, huffman_bits), (BalancedWaveletTree, balanced_bits))
+        for cls, expected in shapes:
+            tree = cls(seq, factory)
+            assert tree.node_count() == 63
+            assert tree.size_in_bits() == expected
+            assert cls.from_arrays(tree.arrays()).size_in_bits() == expected
+
 
 class TestGenericWaveletTree:
     def test_missing_codes_rejected(self):
